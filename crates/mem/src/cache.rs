@@ -80,7 +80,7 @@ impl nwo_obs::MetricSource for CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     valid: bool,
     dirty: bool,
@@ -113,7 +113,23 @@ pub struct AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every line, set-major and way-minor (set `s` owns lines
+    /// `s * assoc..(s + 1) * assoc`), in chunks of `1 << chunk_shift`
+    /// lines. A chunk is allocated by the first access that touches it;
+    /// `None` stands for a chunk of invalid lines. A cold 8 MB L2 thus
+    /// costs nothing to build, only the touched part becomes resident,
+    /// and the equal-sized chunks recycle cleanly through the allocator
+    /// from one simulation to the next.
+    chunks: Vec<Option<Box<[Line]>>>,
+    /// `log2(lines per chunk)`; a chunk holds whole sets.
+    chunk_shift: u32,
+    /// `log2(block_bytes)`: address to block number.
+    block_shift: u32,
+    /// `num_sets - 1`: block number to set index (the set count is a
+    /// power of two because the associativity divides a power of two).
+    set_mask: u64,
+    /// `log2(num_sets)`: block number to tag.
+    tag_shift: u32,
     stats: CacheStats,
     tick: u64,
 }
@@ -140,10 +156,16 @@ impl Cache {
             0,
             "associativity must divide the number of blocks"
         );
-        let sets = vec![vec![Line::default(); config.assoc as usize]; config.num_sets() as usize];
+        let sets = config.num_sets();
+        let lines = sets as usize * config.assoc as usize;
+        let chunk = lines.min(Self::CHUNK_LINES.max(config.assoc as usize));
         Cache {
             config,
-            sets,
+            chunks: vec![None; lines / chunk],
+            chunk_shift: chunk.trailing_zeros(),
+            block_shift: config.block_bytes.trailing_zeros(),
+            set_mask: sets - 1,
+            tag_shift: sets.trailing_zeros(),
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -159,11 +181,23 @@ impl Cache {
         self.stats
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let block = addr / self.config.block_bytes;
-        let set = (block % self.config.num_sets()) as usize;
-        let tag = block / self.config.num_sets();
-        (set, tag)
+    /// Lines per chunk of line state (the whole cache when it is
+    /// smaller, one set when a set is larger).
+    const CHUNK_LINES: usize = 4096;
+
+    /// The chunk and in-chunk line range of the set `addr` maps to, and
+    /// its tag.
+    #[inline]
+    fn set_and_tag(&self, addr: u64) -> (usize, std::ops::Range<usize>, u64) {
+        let block = addr >> self.block_shift;
+        let assoc = self.config.assoc as usize;
+        let first = (block & self.set_mask) as usize * assoc;
+        let offset = first & ((1 << self.chunk_shift) - 1);
+        (
+            first >> self.chunk_shift,
+            offset..offset + assoc,
+            block >> self.tag_shift,
+        )
     }
 
     /// Performs an access, allocating the block on a miss (write-allocate).
@@ -171,9 +205,9 @@ impl Cache {
     /// Returns whether the access hit and whether a dirty block was evicted.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
         self.tick += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
+        let (chunk, set, tag) = self.set_and_tag(addr);
         let tick = self.tick;
-        let set = &mut self.sets[set_idx];
+        let set = &mut touch(&mut self.chunks[chunk], 1 << self.chunk_shift)[set];
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = tick;
@@ -209,32 +243,39 @@ impl Cache {
 
     /// True if the block containing `addr` is resident (no state change).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let (chunk, set, tag) = self.set_and_tag(addr);
+        self.chunks[chunk]
+            .as_ref()
+            .is_some_and(|lines| lines[set].iter().any(|l| l.valid && l.tag == tag))
     }
 
     /// Invalidates all lines and clears statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = Line::default();
-            }
-        }
+        self.chunks.fill(None);
         self.stats = CacheStats::default();
         self.tick = 0;
     }
 }
 
+/// The lines of a chunk of `len` lines, allocated (all invalid) on
+/// first use.
+fn touch(chunk: &mut Option<Box<[Line]>>, len: usize) -> &mut [Line] {
+    chunk.get_or_insert_with(|| vec![Line::default(); len].into_boxed_slice())
+}
+
+/// Lines are written set-major, way-minor — the storage order —
+/// untouched chunks as invalid lines.
 impl nwo_ckpt::Checkpointable for Cache {
     fn save(&self, w: &mut nwo_ckpt::SectionWriter) {
-        w.put_u64(self.sets.len() as u64);
+        w.put_u64(self.config.num_sets());
         w.put_u64(self.config.assoc as u64);
         w.put_u64(self.tick);
         w.put_u64(self.stats.hits);
         w.put_u64(self.stats.misses);
         w.put_u64(self.stats.writebacks);
-        for set in &self.sets {
-            for line in set {
+        let untouched = vec![Line::default(); 1 << self.chunk_shift];
+        for chunk in &self.chunks {
+            for line in chunk.as_deref().unwrap_or(&untouched) {
                 w.put_bool(line.valid);
                 w.put_bool(line.dirty);
                 w.put_u64(line.tag);
@@ -245,11 +286,11 @@ impl nwo_ckpt::Checkpointable for Cache {
 
     fn restore(&mut self, r: &mut nwo_ckpt::SectionReader) -> Result<(), nwo_ckpt::CkptError> {
         let sets = r.take_u64("cache set count")?;
-        if sets != self.sets.len() as u64 {
+        if sets != self.config.num_sets() {
             return Err(nwo_ckpt::CkptError::Mismatch {
                 what: "cache set count",
                 found: sets,
-                expected: self.sets.len() as u64,
+                expected: self.config.num_sets(),
             });
         }
         let assoc = r.take_u64("cache associativity")?;
@@ -264,12 +305,18 @@ impl nwo_ckpt::Checkpointable for Cache {
         self.stats.hits = r.take_u64("cache hits")?;
         self.stats.misses = r.take_u64("cache misses")?;
         self.stats.writebacks = r.take_u64("cache writebacks")?;
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = r.take_bool("cache line valid")?;
-                line.dirty = r.take_bool("cache line dirty")?;
-                line.tag = r.take_u64("cache line tag")?;
-                line.lru = r.take_u64("cache line lru")?;
+        for c in 0..self.chunks.len() {
+            for i in 0..1 << self.chunk_shift {
+                let line = Line {
+                    valid: r.take_bool("cache line valid")?,
+                    dirty: r.take_bool("cache line dirty")?,
+                    tag: r.take_u64("cache line tag")?,
+                    lru: r.take_u64("cache line lru")?,
+                };
+                // Invalid lines of an untouched chunk stay unallocated.
+                if line != Line::default() || self.chunks[c].is_some() {
+                    touch(&mut self.chunks[c], 1 << self.chunk_shift)[i] = line;
+                }
             }
         }
         Ok(())
@@ -380,6 +427,34 @@ mod tests {
             block_bytes: 16,
             hit_latency: 1,
         });
+    }
+
+    #[test]
+    fn line_state_is_allocated_where_touched_and_round_trips() {
+        use nwo_ckpt::Checkpointable;
+        let mut l2 = Cache::new(CacheConfig::l2_table1());
+        assert_eq!(l2.chunks.len(), 64);
+        l2.access(0x40, true);
+        l2.access(0x40 + (1 << 20), false);
+        let touched = |c: &Cache| c.chunks.iter().filter(|c| c.is_some()).count();
+        assert_eq!(touched(&l2), 2);
+        let save = |c: &Cache| {
+            let mut w = nwo_ckpt::SectionWriter::new();
+            c.save(&mut w);
+            w.into_bytes()
+        };
+        let bytes = save(&l2);
+        let mut fresh = Cache::new(CacheConfig::l2_table1());
+        fresh
+            .restore(&mut nwo_ckpt::SectionReader::new(bytes.clone()))
+            .unwrap();
+        assert_eq!(touched(&fresh), 2, "invalid chunks stay unallocated");
+        assert!(fresh.probe(0x40) && fresh.probe(0x40 + (1 << 20)));
+        assert_eq!(save(&fresh), bytes);
+        // An untouched cache saves exactly like one whose lines were
+        // allocated and invalidated.
+        l2.reset();
+        assert_eq!(save(&l2), save(&Cache::new(CacheConfig::l2_table1())));
     }
 
     #[test]

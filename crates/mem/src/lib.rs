@@ -24,11 +24,13 @@
 //! assert!(cold > warm);
 //! ```
 
+mod addr_map;
 mod cache;
 mod hierarchy;
 mod main_memory;
 mod tlb;
 
+pub use addr_map::{AddrHasher, AddrMap};
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyStats};
 pub use main_memory::MainMemory;

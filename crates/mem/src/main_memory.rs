@@ -5,7 +5,7 @@
 //! All multi-byte accesses are little-endian and may straddle page
 //! boundaries.
 
-use std::collections::HashMap;
+use crate::AddrMap;
 
 /// Size of a backing page in bytes. This is an allocation granule, not an
 /// architectural page size (the TLB model has its own page size).
@@ -28,7 +28,7 @@ const PAGE_SIZE: u64 = 4096;
 /// ```
 #[derive(Clone, Default)]
 pub struct MainMemory {
-    pages: HashMap<u64, Box<[u8]>>,
+    pages: AddrMap<Box<[u8]>>,
 }
 
 impl std::fmt::Debug for MainMemory {
@@ -61,55 +61,86 @@ impl MainMemory {
 
     /// Writes one byte, allocating the backing page on demand.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
+        self.page_mut(addr)[(addr % PAGE_SIZE) as usize] = value;
+    }
+
+    /// The backing page holding `addr`, allocated (zeroed) on demand.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8] {
+        self.pages
             .entry(addr / PAGE_SIZE)
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-        page[(addr % PAGE_SIZE) as usize] = value;
+            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn read_u16(&self, addr: u64) -> u16 {
-        u16::from_le_bytes([self.read_u8(addr), self.read_u8(addr.wrapping_add(1))])
-    }
-
-    /// Writes a little-endian `u16`.
-    pub fn write_u16(&mut self, addr: u64, value: u16) {
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
-        }
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut bytes = [0u8; 4];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
-        }
-        u32::from_le_bytes(bytes)
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn write_u32(&mut self, addr: u64, value: u32) {
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
-        }
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn read_u64(&self, addr: u64) -> u64 {
+    /// Reads the `len`-byte (at most 8) little-endian value at `addr`,
+    /// zero-extended. An access inside one page costs one page lookup;
+    /// one that straddles a page boundary falls back to byte reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 8`.
+    #[inline]
+    pub fn read_le(&self, addr: u64, len: usize) -> u64 {
         let mut bytes = [0u8; 8];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
+        let off = (addr % PAGE_SIZE) as usize;
+        if off + len <= PAGE_SIZE as usize {
+            if let Some(page) = self.pages.get(&(addr / PAGE_SIZE)) {
+                bytes[..len].copy_from_slice(&page[off..off + len]);
+            }
+        } else {
+            for (i, b) in bytes[..len].iter_mut().enumerate() {
+                *b = self.read_u8(addr.wrapping_add(i as u64));
+            }
         }
         u64::from_le_bytes(bytes)
     }
 
+    /// Writes the low `len` bytes (at most 8) of `value` little-endian
+    /// at `addr`, allocating backing pages on demand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 8`.
+    #[inline]
+    pub fn write_le(&mut self, addr: u64, len: usize, value: u64) {
+        let bytes = value.to_le_bytes();
+        let off = (addr % PAGE_SIZE) as usize;
+        if off + len <= PAGE_SIZE as usize {
+            self.page_mut(addr)[off..off + len].copy_from_slice(&bytes[..len]);
+        } else {
+            for (i, &b) in bytes[..len].iter().enumerate() {
+                self.write_u8(addr.wrapping_add(i as u64), b);
+            }
+        }
+    }
+
+    /// Reads a little-endian `u16`.
+    pub fn read_u16(&self, addr: u64) -> u16 {
+        self.read_le(addr, 2) as u16
+    }
+
+    /// Writes a little-endian `u16`.
+    pub fn write_u16(&mut self, addr: u64, value: u16) {
+        self.write_le(addr, 2, value as u64);
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn read_u32(&self, addr: u64) -> u32 {
+        self.read_le(addr, 4) as u32
+    }
+
+    /// Writes a little-endian `u32`.
+    pub fn write_u32(&mut self, addr: u64, value: u32) {
+        self.write_le(addr, 4, value as u64);
+    }
+
+    /// Reads a little-endian `u64`.
+    pub fn read_u64(&self, addr: u64) -> u64 {
+        self.read_le(addr, 8)
+    }
+
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
-        }
+        self.write_le(addr, 8, value);
     }
 
     /// Copies `bytes` into memory starting at `addr`.
@@ -152,7 +183,8 @@ impl nwo_ckpt::Checkpointable for MainMemory {
             });
         }
         let count = r.take_len(1 << 32, "memory page count")?;
-        let mut pages = HashMap::with_capacity(count);
+        let mut pages = AddrMap::default();
+        pages.reserve(count);
         for _ in 0..count {
             let number = r.take_u64("memory page number")?;
             let bytes = r.take_bytes(PAGE_SIZE, "memory page bytes")?;

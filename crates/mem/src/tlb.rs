@@ -73,6 +73,11 @@ pub struct Tlb {
     config: TlbConfig,
     /// (virtual page number, last-use tick) pairs.
     entries: Vec<(u64, u64)>,
+    /// Index of the most recently used entry, probed before the scan:
+    /// consecutive accesses mostly touch the same page.
+    mru: usize,
+    /// `log2(page_bytes)`.
+    page_shift: u32,
     stats: TlbStats,
     tick: u64,
 }
@@ -92,6 +97,8 @@ impl Tlb {
         Tlb {
             config,
             entries: Vec::with_capacity(config.entries),
+            mru: 0,
+            page_shift: config.page_bytes.trailing_zeros(),
             stats: TlbStats::default(),
             tick: 0,
         }
@@ -111,22 +118,30 @@ impl Tlb {
     /// Returns the extra latency (0 on a hit, `miss_latency` on a miss).
     pub fn access(&mut self, addr: u64) -> u64 {
         self.tick += 1;
-        let vpn = addr / self.config.page_bytes;
-        if let Some(entry) = self.entries.iter_mut().find(|(page, _)| *page == vpn) {
-            entry.1 = self.tick;
+        let vpn = addr >> self.page_shift;
+        let hit = match self.entries.get(self.mru) {
+            Some(&(page, _)) if page == vpn => Some(self.mru),
+            _ => self.entries.iter().position(|&(page, _)| page == vpn),
+        };
+        if let Some(i) = hit {
+            self.entries[i].1 = self.tick;
+            self.mru = i;
             self.stats.hits += 1;
             return 0;
         }
         self.stats.misses += 1;
         if self.entries.len() < self.config.entries {
+            self.mru = self.entries.len();
             self.entries.push((vpn, self.tick));
         } else {
-            let lru = self
+            let (lru, _) = self
                 .entries
-                .iter_mut()
-                .min_by_key(|(_, t)| *t)
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (_, t))| *t)
                 .expect("non-empty");
-            *lru = (vpn, self.tick);
+            self.entries[lru] = (vpn, self.tick);
+            self.mru = lru;
         }
         self.config.miss_latency
     }

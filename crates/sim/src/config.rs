@@ -202,14 +202,7 @@ impl SimConfig {
     /// configurations the harness constructs. The value is stable
     /// within a build but is not a cross-version serialization contract.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        nwo_ckpt::fnv1a(format!("{self:?}").as_bytes())
     }
 
     /// A fingerprint of only the *warm-state-bearing* configuration: the
@@ -438,6 +431,13 @@ mod tests {
             SimConfig::default().with_gating(custom_gate).fingerprint(),
             "nested config fields are hashed"
         );
+    }
+
+    #[test]
+    fn default_fingerprint_is_pinned() {
+        // Memo and disk-cache keys derive from this value: a change to
+        // the hash or to the `Debug` rendering must be deliberate.
+        assert_eq!(SimConfig::default().fingerprint(), 0x7c0d_72b3_a09b_ab5e);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! When fetch detects that a just-executed branch was mispredicted, the
 //! machine keeps fetching down the *predicted* (wrong) path; those
 //! wrong-path instructions execute against a speculative overlay
-//! (a shadow register map and a byte-granular store hash) so they see
+//! (shadow registers and a byte-granular store map) so they see
 //! real wrong-path values — which is what makes the paper's Figure 2
 //! (operand-width fluctuation under realistic vs perfect prediction) and
 //! the wrong-path packing effects observable.
@@ -17,8 +17,7 @@ use nwo_isa::{
     access_bytes, alu_result, branch_taken, ExecRecord, Format, Instr, Opcode, OperandB, Program,
     Reg, TEXT_BASE,
 };
-use nwo_mem::MainMemory;
-use std::collections::HashMap;
+use nwo_mem::{AddrMap, MainMemory};
 
 /// Speculative in-order functional execution engine.
 #[derive(Debug, Clone)]
@@ -34,8 +33,12 @@ pub struct Frontend {
     /// Wrong-path fetch ran off the rails (bad PC or wrong-path halt);
     /// fetch stalls until recovery.
     stalled: bool,
-    spec_regs: HashMap<u8, u64>,
-    spec_mem: HashMap<u64, u8>,
+    /// Wrong-path register values; register `r` is live in the overlay
+    /// when bit `r` of `spec_live` is set.
+    spec_regs: [u64; 32],
+    spec_live: u32,
+    /// Wrong-path store bytes by address.
+    spec_mem: AddrMap<u8>,
 }
 
 impl Frontend {
@@ -58,8 +61,9 @@ impl Frontend {
             halted: false,
             spec: false,
             stalled: false,
-            spec_regs: HashMap::new(),
-            spec_mem: HashMap::new(),
+            spec_regs: [0; 32],
+            spec_live: 0,
+            spec_mem: AddrMap::default(),
         }
     }
 
@@ -110,22 +114,23 @@ impl Frontend {
         if r.is_zero() {
             return 0;
         }
-        if self.spec {
-            if let Some(&v) = self.spec_regs.get(&r.index()) {
-                return v;
-            }
+        let i = r.index() as usize;
+        if self.spec && self.spec_live & (1 << i) != 0 {
+            return self.spec_regs[i];
         }
-        self.regs[r.index() as usize]
+        self.regs[i]
     }
 
     fn set_reg(&mut self, r: Reg, value: u64) {
         if r.is_zero() {
             return;
         }
+        let i = r.index() as usize;
         if self.spec {
-            self.spec_regs.insert(r.index(), value);
+            self.spec_regs[i] = value;
+            self.spec_live |= 1 << i;
         } else {
-            self.regs[r.index() as usize] = value;
+            self.regs[i] = value;
         }
     }
 
@@ -139,12 +144,16 @@ impl Frontend {
     }
 
     fn read(&self, op: Opcode, addr: u64) -> u64 {
-        let n = access_bytes(op);
-        let mut bytes = [0u8; 8];
-        for (i, b) in bytes.iter_mut().enumerate().take(n as usize) {
-            *b = self.read_byte(addr.wrapping_add(i as u64));
-        }
-        let raw = u64::from_le_bytes(bytes);
+        let n = access_bytes(op) as usize;
+        let raw = if self.spec && !self.spec_mem.is_empty() {
+            let mut bytes = [0u8; 8];
+            for (i, b) in bytes.iter_mut().enumerate().take(n) {
+                *b = self.read_byte(addr.wrapping_add(i as u64));
+            }
+            u64::from_le_bytes(bytes)
+        } else {
+            self.mem.read_le(addr, n)
+        };
         match op {
             Opcode::Ldl => raw as u32 as i32 as i64 as u64,
             _ => raw,
@@ -152,15 +161,13 @@ impl Frontend {
     }
 
     fn write(&mut self, op: Opcode, addr: u64, value: u64) {
-        let n = access_bytes(op);
-        let bytes = value.to_le_bytes();
-        for (i, &b) in bytes.iter().enumerate().take(n as usize) {
-            let a = addr.wrapping_add(i as u64);
-            if self.spec {
-                self.spec_mem.insert(a, b);
-            } else {
-                self.mem.write_u8(a, b);
-            }
+        let n = access_bytes(op) as usize;
+        if !self.spec {
+            self.mem.write_le(addr, n, value);
+            return;
+        }
+        for (i, &b) in value.to_le_bytes().iter().enumerate().take(n) {
+            self.spec_mem.insert(addr.wrapping_add(i as u64), b);
         }
     }
 
@@ -332,7 +339,7 @@ impl Frontend {
     pub fn recover(&mut self, target: u64) {
         self.spec = false;
         self.stalled = false;
-        self.spec_regs.clear();
+        self.spec_live = 0;
         self.spec_mem.clear();
         self.pc = target;
     }
@@ -369,7 +376,7 @@ impl nwo_ckpt::Checkpointable for Frontend {
         self.halted = r.take_bool("frontend halted")?;
         self.spec = false;
         self.stalled = false;
-        self.spec_regs.clear();
+        self.spec_live = 0;
         self.spec_mem.clear();
         nwo_ckpt::Checkpointable::restore(&mut self.mem, r)
     }

@@ -40,6 +40,7 @@ mod config;
 mod frontend;
 mod machine;
 mod report;
+mod sched;
 mod stats;
 
 pub use config::{

@@ -6,9 +6,17 @@
 //! Stage order within a cycle is commit, writeback, issue, dispatch,
 //! fetch — the SimpleScalar reverse-pipeline walk, which lets a value
 //! written back in cycle *t* feed an instruction issuing in cycle *t*.
+//!
+//! Scheduling is event-driven, as in `sim-outorder`: instructions live
+//! in a fixed ring of slots from fetch to commit, writeback wakes
+//! consumers through producer→consumer lists into an age-ordered ready
+//! set, issue walks only that set, and issue schedules each completion
+//! on a wheel keyed by cycle (see [`crate::sched`]). No stage rescans
+//! the window.
 
 use crate::config::{Optimization, PredictorChoice, SimConfig};
 use crate::frontend::Frontend;
+use crate::sched::{Completion, CompletionWheel, ReadySet};
 use crate::stats::SimStats;
 use nwo_bpred::{ControlInfo, DirLookup, Predictor, RasCheckpoint};
 use nwo_core::{
@@ -129,28 +137,33 @@ pub struct TraceRecord {
     pub replayed: bool,
 }
 
-/// An instruction in the fetch queue.
-#[derive(Debug, Clone)]
-struct Fetched {
-    rec: ExecRecord,
-    spec: bool,
-    mispredicted: bool,
-    cinfo: Option<ControlInfo>,
-    ras_cp: Option<RasCheckpoint>,
-    dir_lookup: Option<DirLookup>,
-    fetched_at: u64,
-}
+/// Sentinel of an empty consumer list ([`Entry::consumers`]).
+const NO_EDGE: u32 = u32::MAX;
 
-/// One RUU (register update unit) entry.
+/// Dependency-edge nodes per ring slot: an instruction waits on at most
+/// three producers (operand a, operand b, and store data or the old
+/// value of a conditional move).
+const EDGES_PER_SLOT: usize = 3;
+
+/// One RUU ring slot: an instruction from fetch to commit. Fetch writes
+/// the record and the prediction state once; dispatch fills in the
+/// scheduling fields in place, and nothing is moved afterwards.
 #[derive(Debug, Clone)]
-struct RuuEntry {
+struct Entry {
     seq: u64,
+    /// Allocation id, unique for the life of the machine: tells a
+    /// squashed occupant's pending completion from the slot's next one
+    /// (sequence numbers are reused after a squash).
+    uid: u64,
     rec: ExecRecord,
     class: OpClass,
     spec: bool,
     // Dependency state.
     idep_remaining: u8,
-    odeps: Vec<u64>,
+    /// Head of the list of consumers waiting on this instruction's
+    /// result: an edge-node index (see [`Machine::edge_next`]), youngest
+    /// consumer first; [`NO_EDGE`] when empty.
+    consumers: u32,
     // Operand metadata for gating/packing.
     tag_a: WidthTag,
     tag_b: WidthTag,
@@ -185,17 +198,72 @@ struct RuuEntry {
     result_tag_known: bool,
 }
 
-impl RuuEntry {
+impl Entry {
+    /// A freshly fetched instruction; the scheduling fields are set at
+    /// dispatch.
+    fn fetched(seq: u64, uid: u64, rec: ExecRecord, fetched_at: u64) -> Entry {
+        Entry {
+            seq,
+            uid,
+            class: rec.instr.op.class(),
+            rec,
+            spec: false,
+            idep_remaining: 0,
+            consumers: NO_EDGE,
+            tag_a: WidthTag::unknown(),
+            tag_b: WidthTag::unknown(),
+            from_load: false,
+            fetched_at,
+            dispatched_at: 0,
+            issued_at: 0,
+            earliest_issue: 0,
+            issued: false,
+            in_group: false,
+            completed: false,
+            complete_at: u64::MAX,
+            dmiss: false,
+            mispredicted: false,
+            cinfo: None,
+            ras_cp: None,
+            dir_lookup: None,
+            store_base_producer: None,
+            replay_wide: None,
+            replay_attempted: false,
+            exec_stats_counted: false,
+            result_tag_known: false,
+        }
+    }
+
+    /// A never-used slot.
+    fn vacant() -> Entry {
+        let nop = nwo_isa::Instr {
+            op: Opcode::Nop,
+            ra: Reg::ZERO,
+            b: OperandB::Lit(0),
+            rc: Reg::ZERO,
+            disp: 0,
+        };
+        let rec = ExecRecord {
+            pc: 0,
+            instr: nop,
+            op_a: 0,
+            op_b: 0,
+            result: None,
+            dest: None,
+            mem_addr: None,
+            store_value: None,
+            taken: false,
+            next_pc: 0,
+        };
+        Entry::fetched(u64::MAX, u64::MAX, rec, 0)
+    }
+
     fn is_store(&self) -> bool {
         self.class == OpClass::Store
     }
 
     fn is_load(&self) -> bool {
         self.class == OpClass::Load
-    }
-
-    fn ready(&self) -> bool {
-        self.idep_remaining == 0 && !self.issued && !self.completed
     }
 
     fn dest(&self) -> Option<Reg> {
@@ -220,21 +288,47 @@ pub struct Machine {
     frontend: Frontend,
     predictor: Option<Predictor>,
     hierarchy: Hierarchy,
-    // Pipeline structures.
-    ifq: VecDeque<Fetched>,
-    window: VecDeque<RuuEntry>,
-    lsq: VecDeque<u64>,
+    // Pipeline structures. The RUU and the fetch queue share one ring of
+    // slots: instruction `seq` lives in slot `seq & ring_mask` from fetch
+    // to commit. Sequence numbers are contiguous — the RUU holds
+    // `head_seq..ifq_seq` in age order and the fetch queue
+    // `ifq_seq..fetch_seq` — and a squash rewinds `ifq_seq` and
+    // `fetch_seq`, so numbers are reused.
+    ring: Vec<Entry>,
+    ring_mask: usize,
+    head_seq: u64,
+    ifq_seq: u64,
+    fetch_seq: u64,
+    /// Allocation ids handed to fetched instructions ([`Entry::uid`]).
+    next_uid: u64,
+    /// RUU entries ready to issue, walked in age order by `issue`.
+    ready: ReadySet,
+    /// Issued instructions by completion cycle, drained by `writeback`.
+    wheel: CompletionWheel,
+    /// Scratch for the completions of one cycle.
+    completing: Vec<Completion>,
+    /// Producer→consumer wakeup lists. Edge node `EDGES_PER_SLOT * slot
+    /// + k` stands for the `k`-th pending source operand of the
+    /// instruction in `slot`; `edge_next[node]` links to the next node
+    /// of the same producer's list ([`NO_EDGE`] ends it).
+    edge_next: Vec<u32>,
+    /// Memory operations in the RUU (the LSQ occupancy).
+    lsq_len: usize,
+    /// Sequence numbers of the stores in the LSQ, oldest first.
+    stores: VecDeque<u64>,
+    /// Scratch for the packing groups of one issue cycle.
+    groups: Vec<OpenGroup>,
     rename: [Option<u64>; 32],
     committed_tag_known: [bool; 32],
-    /// Per-PC 2-bit confidence for replay packing: replay traps are
-    /// expensive, so the issue logic stops speculating on instructions
-    /// whose low-16-bit carries keep rippling (e.g. accumulators with
-    /// random low bits). Address arithmetic stays confident. This is an
+    /// Per-PC 2-bit confidence for replay packing, indexed by text
+    /// word (see [`replay_slot`]): replay traps are expensive,
+    /// so the issue logic stops speculating on instructions whose
+    /// low-16-bit carries keep rippling (e.g. accumulators with random
+    /// low bits). Address arithmetic stays confident. This is an
     /// extension beyond the paper, which assumes carries are "relatively
     /// infrequent" — true for addresses, not for every add.
-    replay_confidence: std::collections::HashMap<u64, u8>,
+    replay_confidence: Vec<u8>,
     committed_from_load: [bool; 32],
-    next_seq: u64,
     // Timing state.
     pub(crate) cycle: u64,
     fetch_resume: u64,
@@ -346,7 +440,7 @@ impl fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("cycle", &self.cycle)
             .field("committed", &self.stats.committed)
-            .field("window", &self.window.len())
+            .field("window", &self.window_len())
             .field("done", &self.done)
             .finish()
     }
@@ -375,18 +469,36 @@ impl Machine {
         } else {
             Box::new(NullSink)
         };
+        // The RUU plus the fetch queue, rounded up to whole words of the
+        // ready set.
+        let slots = (config.ruu_size + config.ifq_size)
+            .next_power_of_two()
+            .max(64);
+        assert!(
+            slots * EDGES_PER_SLOT < NO_EDGE as usize,
+            "RUU too large for u32 edge indices"
+        );
         Machine {
             frontend: Frontend::new(program),
             predictor,
             hierarchy: Hierarchy::new(config.hierarchy),
-            ifq: VecDeque::with_capacity(config.ifq_size),
-            window: VecDeque::with_capacity(config.ruu_size),
-            lsq: VecDeque::with_capacity(config.lsq_size),
+            ring: vec![Entry::vacant(); slots],
+            ring_mask: slots - 1,
+            head_seq: 0,
+            ifq_seq: 0,
+            fetch_seq: 0,
+            next_uid: 0,
+            ready: ReadySet::new(slots),
+            wheel: CompletionWheel::new(),
+            completing: Vec::new(),
+            edge_next: vec![NO_EDGE; slots * EDGES_PER_SLOT],
+            lsq_len: 0,
+            stores: VecDeque::with_capacity(config.lsq_size),
+            groups: Vec::with_capacity(config.issue_width),
             rename: [None; 32],
             committed_tag_known: [true; 32],
-            replay_confidence: std::collections::HashMap::new(),
+            replay_confidence: vec![2; program.text.len()],
             committed_from_load: [false; 32],
-            next_seq: 0,
             cycle: 0,
             fetch_resume: 0,
             fetch_stall: StallCause::Frontend,
@@ -625,7 +737,7 @@ impl Machine {
     pub fn checkpoint(&self) -> Vec<u8> {
         let _prof = nwo_obs::span::span("ckpt-io");
         debug_assert!(
-            self.cycle == 0 && self.window.is_empty() && self.ifq.is_empty(),
+            self.cycle == 0 && self.head_seq == self.fetch_seq,
             "checkpoints are taken at the warmup boundary"
         );
         let mut cw = nwo_ckpt::CheckpointWriter::new();
@@ -905,7 +1017,7 @@ impl Machine {
         self.oracle_span_ns = 0;
         self.oracle_span_checks = 0;
         while !self.done && self.stats.committed < max_insts {
-            if self.frontend.halted() && self.window.is_empty() && self.ifq.is_empty() {
+            if self.frontend.halted() && self.head_seq == self.fetch_seq {
                 // Warmup (or a restored checkpoint of one) consumed the
                 // whole program including `halt`: nothing left to time.
                 self.done = true;
@@ -967,7 +1079,7 @@ impl Machine {
     /// the stall attribution so far, the window-head instruction, and a
     /// pipeview of the most recent retained commits.
     fn deadlock_error(&self) -> SimError {
-        let head = self.window.front().map(|e| {
+        let head = self.window_front().map(|e| {
             format!(
                 "seq {} pc {:#x} {} (issued={}, completed={}, unresolved deps={})",
                 e.seq, e.rec.pc, e.rec.instr, e.issued, e.completed, e.idep_remaining
@@ -1015,7 +1127,7 @@ impl Machine {
         // also hits (a miss ends the group and stalls).
         let mut line = pc0 / self.config.hierarchy.l1i.block_bytes;
         let mut fetched = 0;
-        while fetched < self.config.fetch_width && self.ifq.len() < self.config.ifq_size {
+        while fetched < self.config.fetch_width && self.ifq_len() < self.config.ifq_size {
             let pc = self.frontend.pc();
             if self.frontend.halted() || self.frontend.stalled() {
                 break;
@@ -1070,15 +1182,17 @@ impl Machine {
                 };
                 self.sink.emit(&ev);
             }
-            self.ifq.push_back(Fetched {
-                rec,
-                spec: was_spec,
-                mispredicted,
-                cinfo,
-                ras_cp,
-                dir_lookup,
-                fetched_at: self.cycle,
-            });
+            let seq = self.fetch_seq;
+            self.fetch_seq += 1;
+            let slot = self.slot(seq);
+            let e = &mut self.ring[slot];
+            *e = Entry::fetched(seq, self.next_uid, rec, self.cycle);
+            e.spec = was_spec;
+            e.mispredicted = mispredicted;
+            e.cinfo = cinfo;
+            e.ras_cp = ras_cp;
+            e.dir_lookup = dir_lookup;
+            self.next_uid += 1;
             self.stats.fetched += 1;
             fetched += 1;
             if mispredicted {
@@ -1104,116 +1218,109 @@ impl Machine {
     fn dispatch(&mut self) {
         let mut dispatched = 0;
         while dispatched < self.config.decode_width {
-            if self.window.len() >= self.config.ruu_size {
+            if self.window_len() >= self.config.ruu_size || self.ifq_len() == 0 {
                 break;
             }
-            let Some(front) = self.ifq.front() else { break };
-            let is_mem = front.rec.mem_addr.is_some();
-            if is_mem && self.lsq.len() >= self.config.lsq_size {
+            let is_mem = self.ring[self.slot(self.ifq_seq)].rec.mem_addr.is_some();
+            if is_mem && self.lsq_len >= self.config.lsq_size {
                 break;
             }
-            let fetched = self.ifq.pop_front().expect("checked non-empty");
-            self.dispatch_one(fetched);
+            self.dispatch_one();
             dispatched += 1;
         }
     }
 
-    fn dispatch_one(&mut self, fetched: Fetched) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let rec = fetched.rec;
-        let op = rec.instr.op;
-        let class = op.class();
+    /// Resolves source register `reg` at dispatch: whether its width
+    /// tag is known, whether a load produced it, and its in-flight
+    /// producer, if any.
+    fn source(&self, reg: Option<Reg>) -> (bool, bool, Option<u64>) {
+        let Some(r) = reg.filter(|r| !r.is_zero()) else {
+            return (true, false, None);
+        };
+        let i = r.index() as usize;
+        match self.rename[i] {
+            Some(pseq) => {
+                let p = &self.ring[self.slot(pseq)];
+                debug_assert!(
+                    p.seq == pseq && pseq >= self.head_seq,
+                    "rename points into window"
+                );
+                (
+                    p.result_tag_known,
+                    p.is_load(),
+                    (!p.completed).then_some(pseq),
+                )
+            }
+            None => (
+                self.committed_tag_known[i],
+                self.committed_from_load[i],
+                None,
+            ),
+        }
+    }
+
+    /// Moves the fetch-queue head into the RUU: renames its sources,
+    /// links it into its producers' consumer lists and computes its
+    /// operand width tags.
+    fn dispatch_one(&mut self) {
+        let seq = self.ifq_seq;
+        self.ifq_seq += 1;
+        let slot = self.slot(seq);
 
         // Resolve source operands: timing dependencies plus width-tag and
         // load-provenance metadata.
-        let (src_a, src_b, extra) = source_regs(&rec.instr);
+        let (src_a, src_b, extra) = source_regs(&self.ring[slot].rec.instr);
+        let (a_known, a_from_load, a_producer) = self.source(src_a);
+        let (b_known, b_from_load, b_producer) = self.source(src_b);
+        let (_, _, extra_producer) = self.source(extra); // store data: timing only
         let mut idep = 0u8;
-        let mut producers: Vec<u64> = Vec::new();
-        let mut resolve = |m: &mut Machine, reg: Option<Reg>| -> (bool, bool, Option<u64>) {
-            // Returns (tag_known, from_load, pending producer) for `reg`.
-            let Some(r) = reg.filter(|r| !r.is_zero()) else {
-                return (true, false, None);
-            };
-            match m.rename[r.index() as usize] {
-                Some(pseq) => {
-                    let p = m.entry(pseq).expect("rename points into window");
-                    let known = p.result_tag_known;
-                    let from_load = p.is_load();
-                    let pending = (!p.completed).then_some(pseq);
-                    if let Some(pseq) = pending {
-                        producers.push(pseq);
-                    }
-                    (known, from_load, pending)
-                }
-                None => (
-                    m.committed_tag_known[r.index() as usize],
-                    m.committed_from_load[r.index() as usize],
-                    None,
-                ),
-            }
-        };
-        let (a_known, a_from_load, a_producer) = resolve(self, src_a);
-        let (b_known, b_from_load, _) = resolve(self, src_b);
-        let (_, _, _) = resolve(self, extra); // store data: timing only
-                                              // For stores, src_a is the base register: remember its producer
-                                              // so loads can tell when this store's address is computable.
-        let store_base_producer = if op.is_store() { a_producer } else { None };
-        for &pseq in &producers {
+        for pseq in [a_producer, b_producer, extra_producer]
+            .into_iter()
+            .flatten()
+        {
+            let node = slot * EDGES_PER_SLOT + idep as usize;
+            let producer = self.slot(pseq);
+            self.edge_next[node] = self.ring[producer].consumers;
+            self.ring[producer].consumers = node as u32;
             idep += 1;
-            let entry = self.entry_mut(pseq).expect("producer in window");
-            entry.odeps.push(seq);
         }
 
-        let tag_a = if a_known {
-            WidthTag::of(rec.op_a)
+        let cycle = self.cycle;
+        let zero_detect_loads = self.config.zero_detect_loads;
+        let e = &mut self.ring[slot];
+        e.idep_remaining = idep;
+        e.tag_a = if a_known {
+            WidthTag::of(e.rec.op_a)
         } else {
             WidthTag::unknown()
         };
-        let tag_b = if b_known {
-            WidthTag::of(rec.op_b)
+        e.tag_b = if b_known {
+            WidthTag::of(e.rec.op_b)
         } else {
             WidthTag::unknown()
         };
-        let result_tag_known = class != OpClass::Load || self.config.zero_detect_loads;
+        e.from_load = a_from_load || b_from_load;
+        e.dispatched_at = cycle;
+        e.earliest_issue = cycle + 1;
+        // For stores, src_a is the base register: remember its producer
+        // so loads can tell when this store's address is computable.
+        e.store_base_producer = if e.is_store() { a_producer } else { None };
+        e.result_tag_known = e.class != OpClass::Load || zero_detect_loads;
+        let (dest, is_mem, is_store, pc) =
+            (e.dest(), e.rec.mem_addr.is_some(), e.is_store(), e.rec.pc);
 
-        let entry = RuuEntry {
-            seq,
-            rec,
-            class,
-            spec: fetched.spec,
-            idep_remaining: idep,
-            odeps: Vec::new(),
-            tag_a,
-            tag_b,
-            from_load: a_from_load || b_from_load,
-            fetched_at: fetched.fetched_at,
-            dispatched_at: self.cycle,
-            issued_at: 0,
-            earliest_issue: self.cycle + 1,
-            issued: false,
-            in_group: false,
-            completed: false,
-            complete_at: u64::MAX,
-            dmiss: false,
-            mispredicted: fetched.mispredicted,
-            cinfo: fetched.cinfo,
-            ras_cp: fetched.ras_cp,
-            dir_lookup: fetched.dir_lookup,
-            store_base_producer,
-            replay_wide: None,
-            replay_attempted: false,
-            exec_stats_counted: false,
-            result_tag_known,
-        };
-        if let Some(dest) = entry.dest() {
+        if idep == 0 {
+            self.ready.insert(slot);
+        }
+        if let Some(dest) = dest {
             self.rename[dest.index() as usize] = Some(seq);
         }
-        if entry.rec.mem_addr.is_some() {
-            self.lsq.push_back(seq);
+        if is_mem {
+            self.lsq_len += 1;
+            if is_store {
+                self.stores.push_back(seq);
+            }
         }
-        let pc = entry.rec.pc;
-        self.window.push_back(entry);
         self.stats.dispatched += 1;
         if self.sink.enabled() {
             let ev = TraceEvent::Dispatch {
@@ -1228,15 +1335,12 @@ impl Machine {
     // Issue
     // ----------------------------------------------------------------
 
+    /// Selects this cycle's instructions: the ready set in age order,
+    /// oldest first, under the issue-width, ALU and mul/div limits, with
+    /// narrow operations packed into shared ALUs.
     fn issue(&mut self) {
-        #[derive(Debug)]
-        struct OpenGroup {
-            opcode: Opcode,
-            members: usize,
-            has_replay: bool,
-            leader_idx: usize,
-        }
         let pack_config = self.config.pack_config();
+        let degree = pack_config.map(|p| p.degree).unwrap_or(1);
         let gating = self.config.gating_config();
         let power_gating = matches!(
             self.config.optimization,
@@ -1246,18 +1350,23 @@ impl Machine {
         let mut slots = 0usize;
         let mut alus = 0usize;
         let mut muldiv_issued = 0usize;
-        let mut groups: Vec<OpenGroup> = Vec::new();
+        // Groups still below the packing degree.
+        let mut open_groups = 0usize;
+        let mut groups = std::mem::take(&mut self.groups);
+        groups.clear();
 
-        for idx in 0..self.window.len() {
+        let head = self.slot(self.head_seq);
+        let len = self.window_len();
+        let mut from = 0;
+        while let Some(age) = self.ready.next(head, from, len) {
+            from = age + 1;
             // Stop when neither a fresh slot nor any open group remains.
-            let group_capacity = groups
-                .iter()
-                .any(|g| g.members < pack_config.map(|p| p.degree).unwrap_or(1));
-            if slots >= self.config.issue_width && !group_capacity {
+            if slots >= self.config.issue_width && open_groups == 0 {
                 break;
             }
-            let e = &self.window[idx];
-            if !e.ready() || e.earliest_issue > self.cycle || e.dispatched_at >= self.cycle {
+            let idx = (head + age) & self.ring_mask;
+            let e = &self.ring[idx];
+            if e.earliest_issue > self.cycle || e.dispatched_at >= self.cycle {
                 continue;
             }
             let op = e.rec.instr.op;
@@ -1288,14 +1397,13 @@ impl Machine {
                 if slots >= self.config.issue_width || alus >= self.config.int_alus {
                     continue;
                 }
-                let action = self.load_action(idx);
-                let complete_at = match action {
+                let complete_at = match self.load_action(idx) {
                     LoadAction::Wait => continue,
                     LoadAction::Forward => self.cycle + self.config.alu_latency + 1,
                     LoadAction::Access => {
-                        let addr = self.window[idx].rec.mem_addr.expect("load has address");
+                        let addr = self.ring[idx].rec.mem_addr.expect("load has address");
                         let lat = self.hierarchy.data_access(addr, false);
-                        self.window[idx].dmiss = lat > self.config.hierarchy.l1d.hit_latency;
+                        self.ring[idx].dmiss = lat > self.config.hierarchy.l1d.hit_latency;
                         self.cycle + self.config.alu_latency + lat
                     }
                 };
@@ -1312,10 +1420,10 @@ impl Machine {
 
             // Operation packing (Section 5.2/5.3).
             if let Some(pc_cfg) = pack_config {
-                let e = &self.window[idx];
+                let e = &self.ring[idx];
                 let exact = !e.replay_attempted && can_pack(op, e.tag_a, e.tag_b, &pc_cfg);
-                let confident = !pc_cfg.replay_confidence
-                    || self.replay_confidence.get(&e.rec.pc).copied().unwrap_or(2) >= 2;
+                let confident =
+                    !pc_cfg.replay_confidence || self.replay_confidence[replay_slot(e.rec.pc)] >= 2;
                 let replay = if !exact && pc_cfg.replay && !e.replay_attempted && confident {
                     replay_candidate(op, e.tag_a, e.tag_b)
                 } else {
@@ -1330,10 +1438,13 @@ impl Machine {
                     }) {
                         debug_assert!(g.members >= 1);
                         g.members += 1;
-                        self.window[idx].in_group = true;
+                        if g.members == pc_cfg.degree {
+                            open_groups -= 1;
+                        }
+                        self.ring[idx].in_group = true;
                         if let Some(wide) = replay {
                             g.has_replay = true;
-                            self.window[idx].replay_wide = Some(wide);
+                            self.ring[idx].replay_wide = Some(wide);
                             self.stats.pack.replay_issued += 1;
                         }
                         self.issue_entry(idx, complete_at, gating, power_gating);
@@ -1353,10 +1464,13 @@ impl Machine {
                             opcode: op,
                             members: 1,
                             has_replay: replay.is_some(),
-                            leader_idx: idx,
+                            leader: idx,
                         });
+                        if 1 < degree {
+                            open_groups += 1;
+                        }
                         if let Some(wide) = replay {
-                            self.window[idx].replay_wide = Some(wide);
+                            self.ring[idx].replay_wide = Some(wide);
                             self.stats.pack.replay_issued += 1;
                         }
                         self.issue_entry(idx, complete_at, gating, power_gating);
@@ -1382,34 +1496,37 @@ impl Machine {
             self.stats.occupancy.issue_saturated += 1;
         }
         self.stats.occupancy.alu_sum += alus as u64;
-        self.stats.occupancy.ruu_sum += self.window.len() as u64;
+        self.stats.occupancy.ruu_sum += len as u64;
 
         for g in &groups {
+            let leader = &mut self.ring[g.leader];
             if g.members >= 2 {
                 self.stats.pack.groups += 1;
                 self.stats.pack.packed_ops += g.members as u64;
                 self.stats.pack.slots_saved += (g.members - 1) as u64;
-                self.window[g.leader_idx].in_group = true;
+                leader.in_group = true;
                 if self.sink.enabled() {
                     let ev = TraceEvent::Pack {
                         cycle: self.cycle,
-                        leader_pc: self.window[g.leader_idx].rec.pc,
+                        leader_pc: leader.rec.pc,
                         members: g.members.min(u8::MAX as usize) as u8,
                         replay: g.has_replay,
                     };
                     self.sink.emit(&ev);
                 }
-            } else if self.window[g.leader_idx].replay_wide.is_some() {
+            } else if leader.replay_wide.is_some() {
                 // A replay candidate that attracted no partner issues
                 // full-width: the lone lane spans the whole adder, so
                 // there is nothing to speculate on.
-                self.window[g.leader_idx].replay_wide = None;
+                leader.replay_wide = None;
                 self.stats.pack.replay_issued -= 1;
             }
         }
+        self.groups = groups;
     }
 
-    /// Marks entry `idx` issued and records execution statistics.
+    /// Marks the entry in ring slot `idx` issued, schedules its
+    /// writeback and records execution statistics.
     fn issue_entry(
         &mut self,
         idx: usize,
@@ -1418,15 +1535,26 @@ impl Machine {
         power_gating: bool,
     ) {
         let cycle = self.cycle;
-        let e = &mut self.window[idx];
+        let e = &mut self.ring[idx];
         e.issued = true;
         e.issued_at = cycle;
         e.complete_at = complete_at;
+        self.ready.remove(idx);
+        self.wheel.schedule(
+            cycle,
+            Completion {
+                due: complete_at,
+                seq: e.seq,
+                uid: e.uid,
+            },
+        );
         self.stats.issued += 1;
 
         // Power accounting: what would the gating hardware do for this
         // operation? (Timing-neutral, so we account on every run where
-        // packing is off; packing runs gate nothing.)
+        // packing is off; packing runs gate nothing.) The mW sums are
+        // `f64`, so the order of these calls — issue order — is part of
+        // the result.
         let level = if power_gating {
             gate_level(e.tag_a, e.tag_b, &gating)
         } else {
@@ -1452,7 +1580,7 @@ impl Machine {
             }
         }
         if self.sink.enabled() {
-            let e = &self.window[idx];
+            let e = &self.ring[idx];
             let ev = TraceEvent::Issue {
                 cycle,
                 pc: e.rec.pc,
@@ -1463,23 +1591,22 @@ impl Machine {
         }
     }
 
-    /// Decides whether the load at window index `idx` may proceed.
+    /// Decides whether the load in ring slot `idx` may proceed, checking
+    /// it against every older store in the LSQ.
     fn load_action(&self, idx: usize) -> LoadAction {
-        let load = &self.window[idx];
+        let load = &self.ring[idx];
         let load_addr = load.rec.mem_addr.expect("load has an address");
         let load_len = access_bytes(load.rec.instr.op);
         let mut action = LoadAction::Access;
-        for &seq in &self.lsq {
+        for &seq in &self.stores {
             if seq >= load.seq {
                 break;
             }
-            let e = self.entry(seq).expect("LSQ seq in window");
-            if !e.is_store() {
-                continue;
-            }
+            let e = &self.ring[self.slot(seq)];
+            // A producer older than the window head has committed.
             let addr_known = match e.store_base_producer {
                 None => true,
-                Some(pseq) => self.entry(pseq).is_none_or(|p| p.completed),
+                Some(pseq) => pseq < self.head_seq || self.ring[self.slot(pseq)].completed,
             };
             if !addr_known {
                 // Unknown store address: conservatively wait.
@@ -1507,21 +1634,28 @@ impl Machine {
     // Writeback
     // ----------------------------------------------------------------
 
-    fn writeback(&mut self) {
-        // Collect this cycle's completions in age order; recoveries can
-        // invalidate younger seqs mid-walk.
-        let completing: Vec<u64> = self
-            .window
-            .iter()
-            .filter(|e| e.issued && !e.completed && e.complete_at <= self.cycle)
-            .map(|e| e.seq)
-            .collect();
+    /// Is `c` the pending completion of an instruction still in the RUU?
+    /// A squash rewinds `ifq_seq` below the squashed seqs, and refetching
+    /// a reused seq gives its slot a new uid.
+    fn live(&self, c: &Completion) -> bool {
+        c.seq < self.ifq_seq && self.ring[self.slot(c.seq)].uid == c.uid
+    }
 
-        for seq in completing {
-            let Some(idx) = self.index_of(seq) else {
-                continue; // squashed by an earlier recovery this cycle
-            };
-            let e = &mut self.window[idx];
+    fn writeback(&mut self) {
+        // This cycle's completions, walked in age order; recoveries can
+        // invalidate younger seqs mid-walk.
+        let mut completing = std::mem::take(&mut self.completing);
+        completing.clear();
+        self.wheel.drain_due(self.cycle, &mut completing);
+        completing.sort_unstable_by_key(|c| c.seq);
+
+        for c in &completing {
+            if !self.live(c) {
+                continue; // squashed, possibly by an earlier recovery this cycle
+            }
+            let idx = self.slot(c.seq);
+            let e = &mut self.ring[idx];
+            debug_assert!(e.issued && !e.completed && e.complete_at == c.due);
 
             // Replay-packing squash: the carry rippled past bit 15, so
             // this op re-issues full-width after the replay penalty
@@ -1531,7 +1665,7 @@ impl Machine {
                 e.replay_wide = None;
                 e.replay_attempted = true;
                 let mispredicted = replay_mispredicts(op, a, b, wide);
-                let conf = self.replay_confidence.entry(pc).or_insert(2);
+                let conf = &mut self.replay_confidence[replay_slot(pc)];
                 if mispredicted {
                     *conf = 0;
                 } else {
@@ -1544,11 +1678,11 @@ impl Machine {
                         .map(|p| p.replay_penalty)
                         .unwrap_or(0)
                         .max(1);
-                    let earliest = self.cycle + penalty;
-                    let e = &mut self.window[idx];
+                    let e = &mut self.ring[idx];
                     e.issued = false;
                     e.complete_at = u64::MAX;
-                    e.earliest_issue = earliest;
+                    e.earliest_issue = self.cycle + penalty;
+                    self.ready.insert(idx);
                     self.stats.pack.replay_squashed += 1;
                     if self.sink.enabled() {
                         let ev = TraceEvent::ReplaySquash {
@@ -1562,26 +1696,29 @@ impl Machine {
                 }
             }
 
-            let e = &mut self.window[idx];
+            let e = &mut self.ring[idx];
             e.completed = true;
+            let mut node = std::mem::replace(&mut e.consumers, NO_EDGE);
             if self.sink.enabled() {
                 let ev = TraceEvent::Writeback {
                     cycle: self.cycle,
-                    pc: self.window[idx].rec.pc,
+                    pc: self.ring[idx].rec.pc,
                 };
                 self.sink.emit(&ev);
             }
             // Wake consumers.
-            let odeps = std::mem::take(&mut self.window[idx].odeps);
-            for dep in odeps {
-                if let Some(didx) = self.index_of(dep) {
-                    let d = &mut self.window[didx];
-                    debug_assert!(d.idep_remaining > 0, "dependency count underflow");
-                    d.idep_remaining -= 1;
+            while node != NO_EDGE {
+                let consumer = node as usize / EDGES_PER_SLOT;
+                let d = &mut self.ring[consumer];
+                debug_assert!(d.idep_remaining > 0, "dependency count underflow");
+                d.idep_remaining -= 1;
+                if d.idep_remaining == 0 {
+                    self.ready.insert(consumer);
                 }
+                node = self.edge_next[node as usize];
             }
             // Branch resolution and misprediction recovery.
-            let e = &self.window[idx];
+            let e = &self.ring[idx];
             if e.mispredicted {
                 let bseq = e.seq;
                 let spec = e.spec;
@@ -1610,28 +1747,38 @@ impl Machine {
                 self.recover(bseq, spec, target, ras_cp);
             }
         }
+        self.completing = completing;
     }
 
     /// Squashes everything younger than `bseq` and redirects fetch.
     fn recover(&mut self, bseq: u64, spec: bool, target: u64, ras_cp: Option<RasCheckpoint>) {
-        // Drop younger window entries.
-        while let Some(back) = self.window.back() {
-            if back.seq <= bseq {
-                break;
+        // Drop younger RUU entries. Their pending completions go stale
+        // (see `live`); their ready bits and LSQ places are released.
+        for seq in bseq + 1..self.ifq_seq {
+            let slot = self.slot(seq);
+            self.ready.remove(slot);
+            if self.ring[slot].rec.mem_addr.is_some() {
+                self.lsq_len -= 1;
             }
-            self.window.pop_back();
             self.stats.squashed += 1;
         }
-        self.lsq.retain(|&s| s <= bseq);
-        self.stats.squashed += self.ifq.len() as u64;
-        self.ifq.clear();
-        self.next_seq = bseq + 1;
-        // Rebuild the rename table and purge dangling consumer edges.
+        while self.stores.back().is_some_and(|&s| s > bseq) {
+            self.stores.pop_back();
+        }
+        self.stats.squashed += self.ifq_len() as u64;
+        self.ifq_seq = bseq + 1;
+        self.fetch_seq = bseq + 1;
+        // Rebuild the rename table and unlink squashed consumers: each
+        // producer's list is youngest first, so they are its prefix.
         self.rename = [None; 32];
-        for i in 0..self.window.len() {
-            self.window[i].odeps.retain(|&s| s <= bseq);
-            if let Some(dest) = self.window[i].dest() {
-                let seq = self.window[i].seq;
+        for seq in self.head_seq..=bseq {
+            let slot = self.slot(seq);
+            let mut node = self.ring[slot].consumers;
+            while node != NO_EDGE && self.ring[node as usize / EDGES_PER_SLOT].seq > bseq {
+                node = self.edge_next[node as usize];
+            }
+            self.ring[slot].consumers = node;
+            if let Some(dest) = self.ring[slot].dest() {
                 self.rename[dest.index() as usize] = Some(seq);
             }
         }
@@ -1659,16 +1806,22 @@ impl Machine {
     fn commit(&mut self) -> Result<(), SimError> {
         let mut retired = 0u64;
         for _ in 0..self.config.commit_width {
-            let Some(front) = self.window.front() else {
-                break;
-            };
-            if !front.completed {
+            if self.window_len() == 0 {
                 break;
             }
-            debug_assert!(!front.spec, "wrong-path instruction reached commit");
-            let mut e = self.window.pop_front().expect("checked non-empty");
-            if self.lsq.front().is_some_and(|&s| s == e.seq) {
-                self.lsq.pop_front();
+            let slot = self.slot(self.head_seq);
+            if !self.ring[slot].completed {
+                break;
+            }
+            self.head_seq += 1;
+            let e = &mut self.ring[slot];
+            debug_assert!(!e.spec, "wrong-path instruction reached commit");
+            if e.rec.mem_addr.is_some() {
+                self.lsq_len -= 1;
+                if e.is_store() {
+                    let store = self.stores.pop_front();
+                    debug_assert_eq!(store, Some(e.seq), "stores leave the LSQ in order");
+                }
             }
             // An armed datapath fault fires at the first eligible
             // commit, corrupting a gated upper bit of the value being
@@ -1800,8 +1953,7 @@ impl Machine {
             // commit — the window head — or, with an empty window,
             // to the PC fetch is (re)starting from.
             let pc = self
-                .window
-                .front()
+                .window_front()
                 .map(|e| e.rec.pc)
                 .unwrap_or_else(|| self.frontend.pc());
             if let Some(pcs) = self.stall_pcs.as_mut() {
@@ -1819,9 +1971,9 @@ impl Machine {
         if self.done {
             return StallCause::Drain;
         }
-        let Some(front) = self.window.front() else {
+        let Some(front) = self.window_front() else {
             // Empty window: the front end owns the stall.
-            if self.frontend.halted() && self.ifq.is_empty() {
+            if self.frontend.halted() && self.ifq_len() == 0 {
                 return StallCause::Drain;
             }
             if self.cycle < self.fetch_resume {
@@ -1836,7 +1988,7 @@ impl Machine {
             if front.idep_remaining > 0 {
                 return StallCause::TrueDependency;
             }
-            if front.is_load() && self.load_action(0) == LoadAction::Wait {
+            if front.is_load() && self.load_action(self.slot(self.head_seq)) == LoadAction::Wait {
                 // Blocked behind an older store: a memory dependency.
                 return StallCause::TrueDependency;
             }
@@ -1851,10 +2003,10 @@ impl Machine {
             if front.dmiss {
                 return StallCause::DcacheMiss;
             }
-            if self.window.len() >= self.config.ruu_size {
+            if self.window_len() >= self.config.ruu_size {
                 return StallCause::RuuFull;
             }
-            if self.lsq.len() >= self.config.lsq_size {
+            if self.lsq_len >= self.config.lsq_size {
                 return StallCause::LsqFull;
             }
             return StallCause::ExecLatency;
@@ -1866,25 +2018,44 @@ impl Machine {
     }
 
     // ----------------------------------------------------------------
-    // Window helpers
+    // Ring helpers
     // ----------------------------------------------------------------
 
-    fn index_of(&self, seq: u64) -> Option<usize> {
-        let front = self.window.front()?.seq;
-        if seq < front {
-            return None;
-        }
-        let idx = (seq - front) as usize;
-        (idx < self.window.len()).then_some(idx)
+    /// The ring slot of sequence number `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & self.ring_mask
     }
 
-    fn entry(&self, seq: u64) -> Option<&RuuEntry> {
-        self.index_of(seq).map(|i| &self.window[i])
+    /// RUU occupancy.
+    fn window_len(&self) -> usize {
+        (self.ifq_seq - self.head_seq) as usize
     }
 
-    fn entry_mut(&mut self, seq: u64) -> Option<&mut RuuEntry> {
-        self.index_of(seq).map(|i| &mut self.window[i])
+    /// Fetch-queue occupancy.
+    fn ifq_len(&self) -> usize {
+        (self.fetch_seq - self.ifq_seq) as usize
     }
+
+    /// The oldest RUU entry, if any.
+    fn window_front(&self) -> Option<&Entry> {
+        (self.head_seq < self.ifq_seq).then(|| &self.ring[self.slot(self.head_seq)])
+    }
+}
+
+/// A packing group being formed during one issue cycle.
+#[derive(Debug, Clone, Copy)]
+struct OpenGroup {
+    opcode: Opcode,
+    members: usize,
+    has_replay: bool,
+    /// Ring slot of the instruction that opened the group.
+    leader: usize,
+}
+
+/// Index of `pc` in the per-text-word replay-confidence table. Only
+/// decodable text addresses are ever fetched, wrong path included.
+fn replay_slot(pc: u64) -> usize {
+    ((pc - nwo_isa::TEXT_BASE) / 4) as usize
 }
 
 /// Classes whose records carry two meaningful source-operand values
@@ -2181,6 +2352,154 @@ mod tests {
             SimConfig::default().with_packing(PackConfig::with_replay()),
         );
         assert_eq!(p.out_quads(), &[63]);
+    }
+
+    /// One cycle of [`Machine::run`], for tests that inspect the
+    /// scheduler between cycles.
+    fn step(m: &mut Machine) {
+        m.cycle += 1;
+        m.commit().expect("commits");
+        m.writeback();
+        m.issue();
+        m.dispatch();
+        m.fetch().expect("fetches");
+    }
+
+    /// Steps `m` to `halt`, calling `check` after every cycle.
+    fn step_to_halt(m: &mut Machine, mut check: impl FnMut(&Machine)) {
+        while !m.done {
+            assert!(m.cycle < 100_000, "runs to halt");
+            step(m);
+            check(m);
+        }
+    }
+
+    /// The RUU entries, oldest first.
+    fn window(m: &Machine) -> impl Iterator<Item = &Entry> {
+        (m.head_seq..m.ifq_seq).map(|seq| &m.ring[m.slot(seq)])
+    }
+
+    fn emulated(src: &str) -> Vec<u64> {
+        let mut emu = nwo_isa::Emulator::new(&assemble(src).unwrap());
+        emu.run(1_000_000).unwrap();
+        emu.outq().to_vec()
+    }
+
+    #[test]
+    fn completions_beyond_the_wheel_span_land_on_time() {
+        let span = CompletionWheel::SPAN as u64;
+        let mut config = SimConfig::default().with_trace(64);
+        config.div_latency = 2 * span + 7;
+        config.hierarchy.memory_latency = span + 50;
+        let h = config.hierarchy;
+        // Cold load: L1 miss, L2 miss, memory, data-TLB miss.
+        let cold =
+            h.l1d.hit_latency + h.l2.unwrap().hit_latency + h.memory_latency + h.dtlb.miss_latency;
+        assert!(cold > span && config.div_latency > span);
+        let src = concat!(
+            ".data\nbuf: .quad 40\n.text\n",
+            "main: la t0, buf\n li t1, 1000\n",
+            " ldq t2, 0(t0)\n",
+            " divq t1, t2, t3\n",
+            " outq t3\n halt"
+        );
+        let m = run_src(src, config.clone());
+        assert_eq!(m.out_quads(), &[25]);
+        let trace = m.trace();
+        let find = |op| trace.iter().find(|r| r.instr.op == op).unwrap();
+        let (ld, div) = (find(Opcode::Ldq), find(Opcode::Divq));
+        assert_eq!(ld.completed_at - ld.issued_at, config.alu_latency + cold);
+        assert_eq!(
+            div.issued_at, ld.completed_at,
+            "the divide wakes on the load"
+        );
+        assert_eq!(div.completed_at - div.issued_at, config.div_latency);
+    }
+
+    #[test]
+    fn replay_squash_reenters_the_ready_set_after_its_penalty() {
+        // Narrow adds pair with a wide accumulator add whose low half is
+        // all ones, so its replay-packed lane carries out of bit 15.
+        let src = concat!(
+            "main: li t0, 0xffff\n sll t0, 16, t1\n bis t1, t0, t1\n",
+            " li t2, 7\n li s0, 20\n clr v0\n",
+            "loop: addq s0, 1, t3\n addq t1, t2, t4\n",
+            " addq v0, t3, v0\n addq v0, t4, v0\n",
+            " subq s0, 1, s0\n bgt s0, loop\n",
+            " outq v0\n halt"
+        );
+        let config = SimConfig::default().with_packing(PackConfig::with_replay());
+        let penalty = config.pack_config().unwrap().replay_penalty.max(1);
+        let mut m = Machine::new(&assemble(src).unwrap(), config);
+        // (seq, uid, cycle the squashed op may issue again)
+        let mut squashed: Vec<(u64, u64, u64)> = Vec::new();
+        let mut reissued = 0;
+        let mut seen = 0;
+        step_to_halt(&mut m, |m| {
+            if m.stats.pack.replay_squashed > seen {
+                seen = m.stats.pack.replay_squashed;
+                let e = window(m)
+                    .find(|e| e.replay_attempted && !e.issued && e.earliest_issue > m.cycle)
+                    .expect("the squashed op stays in the window");
+                assert_eq!(e.earliest_issue, m.cycle + penalty);
+                assert!(m.ready.contains(m.slot(e.seq)), "back in the ready set");
+                squashed.push((e.seq, e.uid, e.earliest_issue));
+            }
+            for &(seq, uid, earliest) in &squashed {
+                let e = &m.ring[m.slot(seq)];
+                if e.uid == uid && e.issued && e.issued_at == m.cycle {
+                    assert!(m.cycle >= earliest, "re-issued before its penalty");
+                    reissued += 1;
+                }
+            }
+        });
+        assert!(!squashed.is_empty(), "the carry must squash a replay");
+        assert_eq!(reissued, squashed.len(), "every squashed op re-issues");
+        assert_eq!(m.out_quads(), emulated(src).as_slice());
+    }
+
+    #[test]
+    fn recovery_reuses_seqs_past_stale_completions() {
+        // A data-dependent branch mispredicts; the long multiply on its
+        // wrong path issues before the branch resolves, is squashed, and
+        // its completion is still pending when the correct path reuses
+        // its sequence number.
+        let src = concat!(
+            "main: clr t0\n clr t2\n li t1, 48\n li t5, 1000\n li t6, 7\n",
+            "loop: and t1, 5, t3\n",
+            " beq t3, skip\n",
+            " mulq t5, t6, t7\n",
+            " addq t0, t7, t0\n",
+            "skip: addq t2, t1, t2\n",
+            " subq t1, 1, t1\n",
+            " bgt t1, loop\n",
+            " outq t0\n outq t2\n halt"
+        );
+        let mut config = SimConfig::default();
+        config.mult_latency = 60;
+        let mut m = Machine::new(&assemble(src).unwrap(), config);
+        let mut reused = 0;
+        step_to_halt(&mut m, |m| {
+            let stale_reused = m
+                .wheel
+                .pending()
+                .filter(|c| c.seq < m.ifq_seq && !m.live(c))
+                .count();
+            reused += stale_reused;
+            for e in window(m) {
+                assert!(
+                    !e.completed || e.complete_at <= m.cycle,
+                    "seq {} completed early by a stale completion",
+                    e.seq
+                );
+            }
+        });
+        assert!(m.stats.squashed > 0);
+        assert!(
+            reused > 0,
+            "a squashed seq must be reused while its completion is pending"
+        );
+        assert_eq!(m.out_quads(), emulated(src).as_slice());
     }
 
     #[test]

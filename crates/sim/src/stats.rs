@@ -10,9 +10,9 @@
 
 use nwo_core::width64;
 use nwo_isa::OpClass;
+use nwo_mem::AddrMap;
 use nwo_obs::StallBreakdown;
 use nwo_power::PowerAccumulator;
-use std::collections::HashMap;
 
 /// Histogram of `max(width(a), width(b))` over operand pairs — the raw
 /// data behind Figure 1.
@@ -94,7 +94,7 @@ impl WidthHistogram {
 #[derive(Debug, Clone, Default)]
 pub struct FluctuationTracker {
     /// pc -> (last observed narrowness, has fluctuated, executions).
-    map: HashMap<u64, (bool, bool, u64)>,
+    map: AddrMap<(bool, bool, u64)>,
 }
 
 impl FluctuationTracker {
@@ -406,8 +406,8 @@ impl nwo_ckpt::Checkpointable for WidthHistogram {
 }
 
 /// Serialized sorted by PC so identical trackers always produce
-/// byte-identical payloads (the in-memory `HashMap` order is not
-/// deterministic).
+/// byte-identical payloads (the in-memory map order depends on the
+/// insertion history, not only on the contents).
 impl nwo_ckpt::Checkpointable for FluctuationTracker {
     fn save(&self, w: &mut SectionWriter) {
         let mut entries: Vec<_> = self.map.iter().collect();
