@@ -85,6 +85,7 @@ fn qualifies(tag: WidthTag, narrow: bool, config: &GatingConfig) -> bool {
 /// assert_eq!(gate_level(narrow, narrow, &cfg), GateLevel::Gate16);
 /// assert_eq!(gate_level(addr, narrow, &cfg), GateLevel::Gate33);
 /// ```
+#[inline]
 pub fn gate_level(a: WidthTag, b: WidthTag, config: &GatingConfig) -> GateLevel {
     if config.gate16 && qualifies(a, a.narrow16, config) && qualifies(b, b.narrow16, config) {
         GateLevel::Gate16

@@ -35,6 +35,7 @@ pub enum PackKind {
 }
 
 /// The packing family of an opcode, or `None` if it can never pack.
+#[inline]
 pub fn pack_kind(op: Opcode) -> Option<PackKind> {
     use Opcode::*;
     match op {
@@ -101,6 +102,7 @@ impl PackConfig {
 /// operands are known narrow at 16 bits. `srl` additionally requires a
 /// zero-detected (non-negative) shiftee: shifting zeros into a lane whose
 /// reconstruction would prepend ones is not exact.
+#[inline]
 pub fn can_pack(op: Opcode, a: WidthTag, b: WidthTag, config: &PackConfig) -> bool {
     let Some(kind) = pack_kind(op) else {
         return false;
@@ -219,6 +221,7 @@ pub enum WideOperand {
 /// For subtraction only a wide *minuend* qualifies: the high bits of
 /// `a - b` with wide `b` are not the high bits of either source, so the
 /// mux of Figure 9 has nothing correct to forward.
+#[inline]
 pub fn replay_candidate(op: Opcode, a: WidthTag, b: WidthTag) -> Option<WideOperand> {
     if !matches!(op, Opcode::Addq | Opcode::Subq | Opcode::Lda) {
         return None;

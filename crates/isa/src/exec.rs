@@ -16,6 +16,7 @@ fn sext32(v: u64) -> u64 {
 /// # Panics
 ///
 /// Panics (in debug builds) if called with a non-ALU opcode.
+#[inline]
 pub fn alu_result(op: Opcode, a: u64, b: u64) -> u64 {
     match op {
         Opcode::Addq | Opcode::Lda | Opcode::Ldah => a.wrapping_add(b),
@@ -67,6 +68,7 @@ pub fn alu_result(op: Opcode, a: u64, b: u64) -> u64 {
 /// # Panics
 ///
 /// Panics (in debug builds) if called with a non-cmov opcode.
+#[inline]
 pub fn cmov_taken(op: Opcode, a: u64) -> bool {
     match op {
         Opcode::Cmoveq => a == 0,
@@ -86,6 +88,7 @@ pub fn cmov_taken(op: Opcode, a: u64) -> bool {
 /// # Panics
 ///
 /// Panics (in debug builds) if called with a non-branch opcode.
+#[inline]
 pub fn branch_taken(op: Opcode, a: u64) -> bool {
     match op {
         Opcode::Br | Opcode::Bsr => true,
@@ -109,6 +112,7 @@ pub fn branch_taken(op: Opcode, a: u64) -> bool {
 /// # Panics
 ///
 /// Panics (in debug builds) if called with a non-memory opcode.
+#[inline]
 pub fn access_bytes(op: Opcode) -> u64 {
     match op {
         Opcode::Ldq | Opcode::Stq => 8,

@@ -128,6 +128,7 @@ macro_rules! opcodes {
             }
 
             /// The encoding format of this opcode.
+            #[inline]
             pub const fn format(self) -> Format {
                 match self {
                     $( Opcode::$variant => Format::$format, )*
@@ -135,6 +136,7 @@ macro_rules! opcodes {
             }
 
             /// The functional-unit class of this opcode.
+            #[inline]
             pub const fn class(self) -> OpClass {
                 match self {
                     $( Opcode::$variant => OpClass::$class, )*
@@ -218,6 +220,7 @@ opcodes! {
 
 impl Opcode {
     /// True for conditional branches (direction depends on a register).
+    #[inline]
     pub fn is_cond_branch(self) -> bool {
         matches!(
             self,
@@ -233,22 +236,26 @@ impl Opcode {
     }
 
     /// True for any control-transfer instruction.
+    #[inline]
     pub fn is_control(self) -> bool {
         matches!(self.format(), Format::Branch | Format::Jump)
     }
 
     /// True for calls (push the return-address stack).
+    #[inline]
     pub fn is_call(self) -> bool {
         matches!(self, Opcode::Bsr | Opcode::Jsr)
     }
 
     /// True for returns (pop the return-address stack).
+    #[inline]
     pub fn is_return(self) -> bool {
         self == Opcode::Ret
     }
 
     /// True for conditional moves, whose destination register is also a
     /// source (the move may not happen).
+    #[inline]
     pub fn is_cmov(self) -> bool {
         matches!(
             self,
@@ -257,11 +264,13 @@ impl Opcode {
     }
 
     /// True for loads.
+    #[inline]
     pub fn is_load(self) -> bool {
         self.class() == OpClass::Load
     }
 
     /// True for stores.
+    #[inline]
     pub fn is_store(self) -> bool {
         self.class() == OpClass::Store
     }

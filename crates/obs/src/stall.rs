@@ -77,11 +77,11 @@ impl StallCause {
         }
     }
 
+    /// Position in [`StallCause::ALL`], which lists the variants in
+    /// declaration order.
+    #[inline]
     fn index(self) -> usize {
-        StallCause::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("cause listed in ALL")
+        self as usize
     }
 }
 
@@ -104,6 +104,7 @@ impl StallBreakdown {
     }
 
     /// Charges `slots` lost commit slots to `cause`.
+    #[inline]
     pub fn charge(&mut self, cause: StallCause, slots: u64) {
         self.slots[cause.index()] += slots;
     }
@@ -153,6 +154,13 @@ impl MetricSource for StallBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_lists_causes_in_declaration_order() {
+        for (i, cause) in StallCause::ALL.into_iter().enumerate() {
+            assert_eq!(cause.index(), i, "{cause}");
+        }
+    }
 
     #[test]
     fn charges_accumulate_and_conserve() {

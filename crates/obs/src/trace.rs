@@ -208,6 +208,11 @@ impl TraceEvent {
 pub trait TraceSink {
     /// False when emitting would be wasted work; hot paths skip event
     /// construction entirely.
+    ///
+    /// The value must not change for the life of the sink: a consumer
+    /// may read it once, when the sink is installed, and cache it (the
+    /// simulator does). To switch tracing on or off, install another
+    /// sink.
     fn enabled(&self) -> bool {
         true
     }

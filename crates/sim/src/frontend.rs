@@ -12,12 +12,96 @@
 //!
 //! Recovery throws the overlay away and resumes at the branch's true
 //! target.
+//!
+//! The text segment is predecoded once, at load, into one
+//! [`StaticInst`] per word: everything the pipeline needs to know about
+//! an instruction that does not depend on its dynamic execution.
 
+use nwo_bpred::ControlInfo;
 use nwo_isa::{
-    access_bytes, alu_result, branch_taken, ExecRecord, Format, Instr, Opcode, OperandB, Program,
-    Reg, TEXT_BASE,
+    access_bytes, alu_result, branch_taken, ExecRecord, Format, Instr, OpClass, Opcode, OperandB,
+    Program, Reg, TEXT_BASE,
 };
 use nwo_mem::{AddrMap, MainMemory};
+
+/// The static description of one decodable text word.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StaticInst {
+    pub(crate) instr: Instr,
+    pub(crate) class: OpClass,
+    /// The source registers feeding operand slots a and b, plus the
+    /// timing-only third source (store data, or the old destination of
+    /// a conditional move). `None` when absent or the zero register.
+    pub(crate) srcs: [Option<Reg>; 3],
+    /// The predictor-facing description of a control instruction.
+    pub(crate) ctrl: Option<ControlInfo>,
+}
+
+impl StaticInst {
+    fn new(pc: u64, instr: Instr) -> StaticInst {
+        let op = instr.op;
+        let (a, b, extra) = match op.format() {
+            Format::Operate => {
+                let b = match instr.b {
+                    OperandB::Reg(r) => Some(r),
+                    OperandB::Lit(_) => None,
+                };
+                // Conditional moves read the old destination value.
+                let extra = op.is_cmov().then_some(instr.rc);
+                (Some(instr.ra), b, extra)
+            }
+            Format::Memory => {
+                let data = op.is_store().then_some(instr.ra);
+                (Some(instr.rb()), None, data)
+            }
+            Format::Branch => match op {
+                Opcode::Br | Opcode::Bsr => (None, None, None),
+                _ => (Some(instr.ra), None, None),
+            },
+            Format::Jump => (Some(instr.rb()), None, None),
+            Format::System => match op {
+                Opcode::Outb | Opcode::Outq => (Some(instr.ra), None, None),
+                _ => (None, None, None),
+            },
+        };
+        let ctrl = op.is_control().then(|| ControlInfo {
+            is_cond: op.is_cond_branch(),
+            is_call: op.is_call(),
+            is_return: op.is_return(),
+            is_indirect: op.format() == Format::Jump,
+            direct_target: (op.format() == Format::Branch).then(|| instr.branch_target(pc)),
+            return_addr: pc.wrapping_add(4),
+        });
+        StaticInst {
+            instr,
+            class: op.class(),
+            srcs: [a, b, extra].map(|r| r.filter(|r| !r.is_zero())),
+            ctrl,
+        }
+    }
+}
+
+/// A record for [`Frontend::step_into`] to overwrite: a `nop` at PC 0.
+pub(crate) fn blank_record() -> ExecRecord {
+    ExecRecord {
+        pc: 0,
+        instr: Instr {
+            op: Opcode::Nop,
+            ra: Reg::ZERO,
+            b: OperandB::Lit(0),
+            rc: Reg::ZERO,
+            disp: 0,
+        },
+        op_a: 0,
+        op_b: 0,
+        result: None,
+        dest: None,
+        mem_addr: None,
+        store_value: None,
+        taken: false,
+        next_pc: 0,
+    }
+}
 
 /// Speculative in-order functional execution engine.
 #[derive(Debug, Clone)]
@@ -25,7 +109,11 @@ pub struct Frontend {
     regs: [u64; 32],
     pc: u64,
     mem: MainMemory,
-    decoded: Vec<Option<Instr>>,
+    /// The predecoded text segment, one entry per word (`None` for an
+    /// undecodable word).
+    text: Vec<Option<StaticInst>>,
+    /// Digest of the decoded text (see [`Frontend::code_digest`]).
+    code_digest: u64,
     /// `halt` executed on the correct path: program over.
     halted: bool,
     /// Currently executing down a known-wrong path.
@@ -49,14 +137,20 @@ impl Frontend {
             mem.write_u32(TEXT_BASE + 4 * i as u64, word);
         }
         mem.write_bytes(nwo_isa::DATA_BASE, &program.data);
+        let decoded: Vec<Option<Instr>> = program
+            .text
+            .iter()
+            .map(|&w| Instr::decode(w).ok())
+            .collect();
         Frontend {
             regs: Program::initial_registers(),
             pc: program.entry,
             mem,
-            decoded: program
-                .text
+            code_digest: nwo_ckpt::fnv1a(format!("{decoded:?}").as_bytes()),
+            text: decoded
                 .iter()
-                .map(|&w| Instr::decode(w).ok())
+                .enumerate()
+                .map(|(i, d)| d.map(|instr| StaticInst::new(TEXT_BASE + 4 * i as u64, instr)))
                 .collect(),
             halted: false,
             spec: false,
@@ -171,25 +265,38 @@ impl Frontend {
         }
     }
 
-    fn fetch_instr(&self, pc: u64) -> Option<Instr> {
+    /// The text index and instruction of the decodable word at `pc`.
+    fn fetch_instr(&self, pc: u64) -> Option<(usize, Instr)> {
         if pc < TEXT_BASE || !pc.is_multiple_of(4) {
             return None;
         }
-        let idx = ((pc - TEXT_BASE) / 4) as usize;
-        self.decoded.get(idx).copied().flatten()
+        let idx = ((pc - TEXT_BASE) >> 2) as usize;
+        Some((idx, self.text.get(idx)?.as_ref()?.instr))
     }
 
-    /// Executes the instruction at the current PC and advances to the
-    /// *actual* next PC. Returns `None` when the engine cannot fetch:
-    /// the program has halted, the wrong path is stalled, or the PC is
-    /// invalid (a correct-path invalid PC also returns `None` — the
-    /// machine treats that as a program error).
-    pub fn step(&mut self) -> Option<ExecRecord> {
+    /// The static description of the instruction at `pc`, which must be
+    /// a decodable text word (every fetched PC is one).
+    #[inline]
+    pub(crate) fn static_at(&self, pc: u64) -> &StaticInst {
+        self.text[((pc - TEXT_BASE) >> 2) as usize]
+            .as_ref()
+            .expect("fetched pcs are decodable text")
+    }
+
+    /// Executes the instruction at the current PC into `rec`, overwriting
+    /// every field, and advances to the *actual* next PC. Returns the
+    /// instruction's static description, or `None` — leaving `rec`
+    /// untouched — when the engine cannot fetch: the program has halted,
+    /// the wrong path is stalled, or the PC is invalid (a correct-path
+    /// invalid PC also returns `None`; the machine treats that as a
+    /// program error).
+    #[inline]
+    pub fn step_into(&mut self, rec: &mut ExecRecord) -> Option<&StaticInst> {
         if self.halted || self.stalled {
             return None;
         }
         let pc = self.pc;
-        let Some(instr) = self.fetch_instr(pc) else {
+        let Some((idx, instr)) = self.fetch_instr(pc) else {
             // Off the rails. On the wrong path this is expected; on the
             // correct path the caller surfaces an error.
             if self.spec {
@@ -197,14 +304,23 @@ impl Frontend {
             }
             return None;
         };
-        let record = self.execute(pc, instr);
-        self.pc = record.next_pc;
-        Some(record)
+        self.execute(pc, instr, rec);
+        self.pc = rec.next_pc;
+        self.text[idx].as_ref()
     }
 
-    fn execute(&mut self, pc: u64, instr: Instr) -> ExecRecord {
+    /// [`Frontend::step_into`] a fresh record.
+    #[cfg(test)]
+    pub fn step(&mut self) -> Option<ExecRecord> {
+        let mut rec = blank_record();
+        self.step_into(&mut rec)?;
+        Some(rec)
+    }
+
+    #[inline]
+    fn execute(&mut self, pc: u64, instr: Instr, record: &mut ExecRecord) {
         let op = instr.op;
-        let mut record = ExecRecord {
+        *record = ExecRecord {
             pc,
             instr,
             op_a: 0,
@@ -315,7 +431,6 @@ impl Frontend {
                 _ => unreachable!("system format covers halt/nop/outb/outq"),
             },
         }
-        record
     }
 
     /// Switches into wrong-path mode (a correct-path branch just turned
@@ -349,12 +464,12 @@ impl Frontend {
     /// different program is rejected instead of silently producing
     /// nonsense.
     pub(crate) fn code_digest(&self) -> u64 {
-        nwo_ckpt::fnv1a(format!("{:?}", self.decoded).as_bytes())
+        self.code_digest
     }
 }
 
 /// Serializes the architected (correct-path) state: registers, PC, the
-/// halted flag and the full memory image. The decoded text segment is
+/// halted flag and the full memory image. The predecoded text segment is
 /// derived from the program and is not serialized; the speculative
 /// overlay is transient and cleared on restore (checkpoints are taken at
 /// the warmup boundary, where no wrong path is in flight).

@@ -52,8 +52,8 @@ pub use nwo_obs as obs;
 pub use nwo_verify as verify;
 pub use report::SimReport;
 pub use stats::{
-    class_slot, BranchStats, FluctuationTracker, NarrowBreakdown, PackStats, SimStats,
-    WidthHistogram, CLASS_SLOT_NAMES,
+    class_slot, pair_width, BranchStats, FluctuationTracker, NarrowBreakdown, PackStats, SimStats,
+    WidthHistogram, CLASS_SLOT_NAMES, FLUCTUATION_MAX_SPAN_WORDS,
 };
 
 use nwo_isa::Program;

@@ -15,14 +15,14 @@
 //! the window.
 
 use crate::config::{Optimization, PredictorChoice, SimConfig};
-use crate::frontend::Frontend;
+use crate::frontend::{blank_record, Frontend};
 use crate::sched::{Completion, CompletionWheel, ReadySet};
-use crate::stats::SimStats;
+use crate::stats::{pair_width, SimStats};
 use nwo_bpred::{ControlInfo, DirLookup, Predictor, RasCheckpoint};
 use nwo_core::{
     can_pack, gate_level, replay_candidate, replay_mispredicts, GateLevel, WideOperand, WidthTag,
 };
-use nwo_isa::{access_bytes, ExecRecord, Format, OpClass, Opcode, OperandB, Program, Reg};
+use nwo_isa::{access_bytes, ExecRecord, OpClass, Opcode, Program, Reg};
 use nwo_mem::Hierarchy;
 use nwo_obs::{
     CommitRecord, NullSink, RingSink, StallBreakdown, StallCause, TraceEvent, TraceSink,
@@ -145,9 +145,15 @@ const NO_EDGE: u32 = u32::MAX;
 /// value of a conditional move).
 const EDGES_PER_SLOT: usize = 3;
 
-/// One RUU ring slot: an instruction from fetch to commit. Fetch writes
-/// the record and the prediction state once; dispatch fills in the
-/// scheduling fields in place, and nothing is moved afterwards.
+/// Sentinel of "no sequence number" ([`Entry::store_base_producer`]).
+const NO_SEQ: u64 = u64::MAX;
+
+/// One RUU ring slot: an instruction from fetch to commit. Fetch
+/// executes straight into the slot's record and re-initialises the
+/// other fields in place; dispatch fills in the scheduling fields, and
+/// nothing is moved afterwards. Predictor state of control instructions
+/// lives beside the ring, in [`Machine::ctrl`], so that the slot stays
+/// small (see DESIGN.md, "Hot/cold slot").
 #[derive(Debug, Clone)]
 struct Entry {
     seq: u64,
@@ -158,6 +164,9 @@ struct Entry {
     rec: ExecRecord,
     class: OpClass,
     spec: bool,
+    /// A control instruction: its predictor state is in
+    /// [`Machine::ctrl`].
+    is_ctrl: bool,
     // Dependency state.
     idep_remaining: u8,
     /// Head of the list of consumers waiting on this instruction's
@@ -168,6 +177,9 @@ struct Entry {
     tag_a: WidthTag,
     tag_b: WidthTag,
     from_load: bool,
+    /// [`pair_width`] of the operands, computed when the instruction
+    /// first issues and shared by every width statistic.
+    width: u8,
     // Timing state.
     fetched_at: u64,
     dispatched_at: u64,
@@ -183,13 +195,10 @@ struct Entry {
     dmiss: bool,
     // Control state.
     mispredicted: bool,
-    cinfo: Option<ControlInfo>,
-    ras_cp: Option<RasCheckpoint>,
-    dir_lookup: Option<DirLookup>,
     // Memory state: the in-flight producer of a store's base register,
-    // if any. The store's address is considered computed once this
-    // producer completes (split STA/STD, as in the Alpha 21264).
-    store_base_producer: Option<u64>,
+    // or [`NO_SEQ`]. The store's address is considered computed once
+    // this producer completes (split STA/STD, as in the Alpha 21264).
+    store_base_producer: u64,
     // Packing state.
     replay_wide: Option<WideOperand>,
     replay_attempted: bool,
@@ -199,21 +208,22 @@ struct Entry {
 }
 
 impl Entry {
-    /// A freshly fetched instruction; the scheduling fields are set at
-    /// dispatch.
-    fn fetched(seq: u64, uid: u64, rec: ExecRecord, fetched_at: u64) -> Entry {
+    /// A never-used slot.
+    fn vacant() -> Entry {
         Entry {
-            seq,
-            uid,
-            class: rec.instr.op.class(),
-            rec,
+            seq: u64::MAX,
+            uid: u64::MAX,
+            rec: blank_record(),
+            class: OpClass::System,
             spec: false,
+            is_ctrl: false,
             idep_remaining: 0,
             consumers: NO_EDGE,
             tag_a: WidthTag::unknown(),
             tag_b: WidthTag::unknown(),
             from_load: false,
-            fetched_at,
+            width: 0,
+            fetched_at: 0,
             dispatched_at: 0,
             issued_at: 0,
             earliest_issue: 0,
@@ -223,10 +233,7 @@ impl Entry {
             complete_at: u64::MAX,
             dmiss: false,
             mispredicted: false,
-            cinfo: None,
-            ras_cp: None,
-            dir_lookup: None,
-            store_base_producer: None,
+            store_base_producer: NO_SEQ,
             replay_wide: None,
             replay_attempted: false,
             exec_stats_counted: false,
@@ -234,28 +241,67 @@ impl Entry {
         }
     }
 
-    /// A never-used slot.
-    fn vacant() -> Entry {
-        let nop = nwo_isa::Instr {
-            op: Opcode::Nop,
-            ra: Reg::ZERO,
-            b: OperandB::Lit(0),
-            rc: Reg::ZERO,
-            disp: 0,
-        };
-        let rec = ExecRecord {
-            pc: 0,
-            instr: nop,
-            op_a: 0,
-            op_b: 0,
-            result: None,
-            dest: None,
-            mem_addr: None,
-            store_value: None,
-            taken: false,
-            next_pc: 0,
-        };
-        Entry::fetched(u64::MAX, u64::MAX, rec, 0)
+    /// Re-initialises every field but the record, which fetch has just
+    /// executed into, for a freshly fetched instruction; the scheduling
+    /// fields are set at dispatch. The exhaustive pattern makes a new
+    /// field a compile error here until it is reset too.
+    #[inline]
+    fn refill(&mut self, seq: u64, uid: u64, class: OpClass, spec: bool, fetched_at: u64) {
+        let Entry {
+            seq: e_seq,
+            uid: e_uid,
+            rec: _,
+            class: e_class,
+            spec: e_spec,
+            is_ctrl,
+            idep_remaining,
+            consumers,
+            tag_a,
+            tag_b,
+            from_load,
+            width,
+            fetched_at: e_fetched_at,
+            dispatched_at,
+            issued_at,
+            earliest_issue,
+            issued,
+            in_group,
+            completed,
+            complete_at,
+            dmiss,
+            mispredicted,
+            store_base_producer,
+            replay_wide,
+            replay_attempted,
+            exec_stats_counted,
+            result_tag_known,
+        } = self;
+        *e_seq = seq;
+        *e_uid = uid;
+        *e_class = class;
+        *e_spec = spec;
+        *is_ctrl = false;
+        *idep_remaining = 0;
+        *consumers = NO_EDGE;
+        *tag_a = WidthTag::unknown();
+        *tag_b = WidthTag::unknown();
+        *from_load = false;
+        *width = 0;
+        *e_fetched_at = fetched_at;
+        *dispatched_at = 0;
+        *issued_at = 0;
+        *earliest_issue = 0;
+        *issued = false;
+        *in_group = false;
+        *completed = false;
+        *complete_at = u64::MAX;
+        *dmiss = false;
+        *mispredicted = false;
+        *store_base_producer = NO_SEQ;
+        *replay_wide = None;
+        *replay_attempted = false;
+        *exec_stats_counted = false;
+        *result_tag_known = false;
     }
 
     fn is_store(&self) -> bool {
@@ -268,6 +314,34 @@ impl Entry {
 
     fn dest(&self) -> Option<Reg> {
         self.rec.dest.filter(|r| !r.is_zero())
+    }
+}
+
+/// Predictor state of one in-flight control instruction, kept in
+/// [`Machine::ctrl`] at its ring slot: fetch writes it, misprediction
+/// recovery and commit read it.
+#[derive(Debug, Clone, Copy)]
+struct CtrlSlot {
+    info: ControlInfo,
+    ras_cp: Option<RasCheckpoint>,
+    dir_lookup: Option<DirLookup>,
+}
+
+impl CtrlSlot {
+    /// A never-used slot.
+    fn vacant() -> CtrlSlot {
+        CtrlSlot {
+            info: ControlInfo {
+                is_cond: false,
+                is_call: false,
+                is_return: false,
+                is_indirect: false,
+                direct_target: None,
+                return_addr: 0,
+            },
+            ras_cp: None,
+            dir_lookup: None,
+        }
     }
 }
 
@@ -295,7 +369,12 @@ pub struct Machine {
     // `ifq_seq..fetch_seq` — and a squash rewinds `ifq_seq` and
     // `fetch_seq`, so numbers are reused.
     ring: Vec<Entry>,
+    /// Predictor state of the control instructions in the ring, by slot
+    /// (valid where [`Entry::is_ctrl`] is set).
+    ctrl: Vec<CtrlSlot>,
     ring_mask: usize,
+    /// `log2` of the L1 I-cache block size: PC to fetch line.
+    iline_shift: u32,
     head_seq: u64,
     ifq_seq: u64,
     fetch_seq: u64,
@@ -342,6 +421,9 @@ pub struct Machine {
     out_bytes: Vec<u8>,
     out_quads: Vec<u64>,
     sink: Box<dyn TraceSink>,
+    /// `sink.enabled()`, read once when the sink is installed (the
+    /// [`TraceSink::enabled`] contract).
+    trace_on: bool,
     /// Lockstep architectural oracle ([`SimConfig::verify`]): a second
     /// functional emulator advanced and compared at every commit.
     oracle: Option<OracleChecker>,
@@ -483,7 +565,9 @@ impl Machine {
             predictor,
             hierarchy: Hierarchy::new(config.hierarchy),
             ring: vec![Entry::vacant(); slots],
+            ctrl: vec![CtrlSlot::vacant(); slots],
             ring_mask: slots - 1,
+            iline_shift: config.hierarchy.l1i.block_bytes.trailing_zeros(),
             head_seq: 0,
             ifq_seq: 0,
             fetch_seq: 0,
@@ -507,6 +591,7 @@ impl Machine {
             done: false,
             out_bytes: Vec::new(),
             out_quads: Vec::new(),
+            trace_on: sink.enabled(),
             sink,
             oracle: config.verify.then(|| OracleChecker::new(program)),
             pending_fault: None,
@@ -592,6 +677,7 @@ impl Machine {
     /// streaming, O(1)-memory tracing of arbitrarily long runs). The
     /// previous sink is flushed and returned.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) -> Box<dyn TraceSink> {
+        self.trace_on = sink.enabled();
         let mut old = std::mem::replace(&mut self.sink, sink);
         old.flush();
         old
@@ -942,9 +1028,10 @@ impl Machine {
         let mut oracle_checks = 0u64;
         self.phase.warmup_calls += 1;
         let mut n = 0;
+        let mut rec = blank_record();
         while n < insts && !self.frontend.halted() {
             let pc = self.frontend.pc();
-            let Some(rec) = self.frontend.step() else {
+            let Some(si) = self.frontend.step_into(&mut rec) else {
                 if self.frontend.halted() {
                     break;
                 }
@@ -954,11 +1041,8 @@ impl Machine {
             if let Some(addr) = rec.mem_addr {
                 self.hierarchy.warm_data(addr, rec.store_value.is_some());
             }
-            if rec.instr.op.is_control() {
-                let cinfo = control_info(&rec);
-                if let Some(p) = &mut self.predictor {
-                    p.update(rec.pc, &cinfo, rec.taken, rec.next_pc, None);
-                }
+            if let (Some(info), Some(p)) = (&si.ctrl, &mut self.predictor) {
+                p.update(rec.pc, info, rec.taken, rec.next_pc, None);
             }
             // Warmed-over instructions are architecturally executed, so
             // their output side effects are real — collecting them here
@@ -1125,14 +1209,14 @@ impl Machine {
         // Table 1 specifies a flat 4-instructions/cycle fetch width; a
         // group may cross a cache-line boundary as long as the next line
         // also hits (a miss ends the group and stalls).
-        let mut line = pc0 / self.config.hierarchy.l1i.block_bytes;
+        let mut line = pc0 >> self.iline_shift;
         let mut fetched = 0;
         while fetched < self.config.fetch_width && self.ifq_len() < self.config.ifq_size {
             let pc = self.frontend.pc();
             if self.frontend.halted() || self.frontend.stalled() {
                 break;
             }
-            let pc_line = pc / self.config.hierarchy.l1i.block_bytes;
+            let pc_line = pc >> self.iline_shift;
             if pc_line != line {
                 let latency = self.hierarchy.inst_access(pc);
                 if latency > self.config.hierarchy.l1i.hit_latency {
@@ -1143,22 +1227,26 @@ impl Machine {
                 line = pc_line;
             }
             let was_spec = self.frontend.spec_mode();
-            let Some(rec) = self.frontend.step() else {
+            let seq = self.fetch_seq;
+            let slot = self.slot(seq);
+            // Execute straight into the slot's record.
+            let e = &mut self.ring[slot];
+            let Some(si) = self.frontend.step_into(&mut e.rec) else {
                 if self.frontend.stalled() || self.frontend.halted() {
                     break;
                 }
                 // Correct-path bad fetch: a program error.
                 return Err(SimError::BadFetch { pc });
             };
-            let is_ctrl = rec.instr.op.is_control();
-            let mut cinfo = None;
-            let mut ras_cp = None;
-            let mut dir_lookup = None;
+            let ctrl = si.ctrl;
+            e.refill(seq, self.next_uid, si.class, was_spec, self.cycle);
+            let (next_pc, halt) = (e.rec.next_pc, e.rec.instr.op == Opcode::Halt);
             let mut pred_npc = pc.wrapping_add(4);
-            if is_ctrl {
-                let info = control_info(&rec);
+            if let Some(info) = ctrl {
+                let mut ras_cp = None;
+                let mut dir_lookup = None;
                 pred_npc = match &mut self.predictor {
-                    None => rec.next_pc, // perfect prediction
+                    None => next_pc, // perfect prediction
                     Some(p) => {
                         let prediction = p.predict(pc, &info);
                         ras_cp = Some(p.ras_checkpoint());
@@ -1170,10 +1258,18 @@ impl Machine {
                         }
                     }
                 };
-                cinfo = Some(info);
+                self.ctrl[slot] = CtrlSlot {
+                    info,
+                    ras_cp,
+                    dir_lookup,
+                };
             }
-            let mispredicted = is_ctrl && pred_npc != rec.next_pc;
-            if self.sink.enabled() {
+            let mispredicted = ctrl.is_some() && pred_npc != next_pc;
+            let e = &mut self.ring[slot];
+            e.is_ctrl = ctrl.is_some();
+            e.mispredicted = mispredicted;
+            if self.trace_on {
+                let rec = &e.rec;
                 let ev = TraceEvent::Fetch {
                     cycle: self.cycle,
                     pc: rec.pc,
@@ -1182,16 +1278,7 @@ impl Machine {
                 };
                 self.sink.emit(&ev);
             }
-            let seq = self.fetch_seq;
             self.fetch_seq += 1;
-            let slot = self.slot(seq);
-            let e = &mut self.ring[slot];
-            *e = Entry::fetched(seq, self.next_uid, rec, self.cycle);
-            e.spec = was_spec;
-            e.mispredicted = mispredicted;
-            e.cinfo = cinfo;
-            e.ras_cp = ras_cp;
-            e.dir_lookup = dir_lookup;
             self.next_uid += 1;
             self.stats.fetched += 1;
             fetched += 1;
@@ -1201,10 +1288,10 @@ impl Machine {
                 }
                 self.frontend.set_pc(pred_npc);
             }
-            if is_ctrl && pred_npc != pc.wrapping_add(4) {
+            if ctrl.is_some() && pred_npc != pc.wrapping_add(4) {
                 break; // a (predicted-)taken transfer ends the fetch group
             }
-            if rec.instr.op == Opcode::Halt {
+            if halt {
                 break;
             }
         }
@@ -1230,11 +1317,11 @@ impl Machine {
         }
     }
 
-    /// Resolves source register `reg` at dispatch: whether its width
-    /// tag is known, whether a load produced it, and its in-flight
-    /// producer, if any.
+    /// Resolves source register `reg` (never the zero register) at
+    /// dispatch: whether its width tag is known, whether a load produced
+    /// it, and its in-flight producer, if any.
     fn source(&self, reg: Option<Reg>) -> (bool, bool, Option<u64>) {
-        let Some(r) = reg.filter(|r| !r.is_zero()) else {
+        let Some(r) = reg else {
             return (true, false, None);
         };
         let i = r.index() as usize;
@@ -1269,7 +1356,7 @@ impl Machine {
 
         // Resolve source operands: timing dependencies plus width-tag and
         // load-provenance metadata.
-        let (src_a, src_b, extra) = source_regs(&self.ring[slot].rec.instr);
+        let [src_a, src_b, extra] = self.frontend.static_at(self.ring[slot].rec.pc).srcs;
         let (a_known, a_from_load, a_producer) = self.source(src_a);
         let (b_known, b_from_load, b_producer) = self.source(src_b);
         let (_, _, extra_producer) = self.source(extra); // store data: timing only
@@ -1304,7 +1391,9 @@ impl Machine {
         e.earliest_issue = cycle + 1;
         // For stores, src_a is the base register: remember its producer
         // so loads can tell when this store's address is computable.
-        e.store_base_producer = if e.is_store() { a_producer } else { None };
+        if e.is_store() {
+            e.store_base_producer = a_producer.unwrap_or(NO_SEQ);
+        }
         e.result_tag_known = e.class != OpClass::Load || zero_detect_loads;
         let (dest, is_mem, is_store, pc) =
             (e.dest(), e.rec.mem_addr.is_some(), e.is_store(), e.rec.pc);
@@ -1322,7 +1411,7 @@ impl Machine {
             }
         }
         self.stats.dispatched += 1;
-        if self.sink.enabled() {
+        if self.trace_on {
             let ev = TraceEvent::Dispatch {
                 cycle: self.cycle,
                 pc,
@@ -1505,7 +1594,7 @@ impl Machine {
                 self.stats.pack.packed_ops += g.members as u64;
                 self.stats.pack.slots_saved += (g.members - 1) as u64;
                 leader.in_group = true;
-                if self.sink.enabled() {
+                if self.trace_on {
                     let ev = TraceEvent::Pack {
                         cycle: self.cycle,
                         leader_pc: leader.rec.pc,
@@ -1570,16 +1659,15 @@ impl Machine {
 
         if !e.exec_stats_counted {
             e.exec_stats_counted = true;
-            let (a, b) = (e.rec.op_a, e.rec.op_b);
-            let class = e.class;
-            let pc = e.rec.pc;
-            self.stats.breakdown.record(class, a, b);
-            if has_two_operands(class) {
-                self.stats.width_executed.record(a, b);
-                self.stats.fluctuation.record(pc, a, b);
+            let w = pair_width(e.rec.op_a, e.rec.op_b);
+            e.width = w as u8;
+            self.stats.breakdown.record_width(e.class, w);
+            if has_two_operands(e.class) {
+                self.stats.width_executed.record_width(w);
+                self.stats.fluctuation.record_width(e.rec.pc, w);
             }
         }
-        if self.sink.enabled() {
+        if self.trace_on {
             let e = &self.ring[idx];
             let ev = TraceEvent::Issue {
                 cycle,
@@ -1604,10 +1692,9 @@ impl Machine {
             }
             let e = &self.ring[self.slot(seq)];
             // A producer older than the window head has committed.
-            let addr_known = match e.store_base_producer {
-                None => true,
-                Some(pseq) => pseq < self.head_seq || self.ring[self.slot(pseq)].completed,
-            };
+            let pseq = e.store_base_producer;
+            let addr_known =
+                pseq == NO_SEQ || pseq < self.head_seq || self.ring[self.slot(pseq)].completed;
             if !addr_known {
                 // Unknown store address: conservatively wait.
                 return LoadAction::Wait;
@@ -1684,7 +1771,7 @@ impl Machine {
                     e.earliest_issue = self.cycle + penalty;
                     self.ready.insert(idx);
                     self.stats.pack.replay_squashed += 1;
-                    if self.sink.enabled() {
+                    if self.trace_on {
                         let ev = TraceEvent::ReplaySquash {
                             cycle: self.cycle,
                             pc,
@@ -1699,7 +1786,7 @@ impl Machine {
             let e = &mut self.ring[idx];
             e.completed = true;
             let mut node = std::mem::replace(&mut e.consumers, NO_EDGE);
-            if self.sink.enabled() {
+            if self.trace_on {
                 let ev = TraceEvent::Writeback {
                     cycle: self.cycle,
                     pc: self.ring[idx].rec.pc,
@@ -1725,12 +1812,13 @@ impl Machine {
                 let pc = e.rec.pc;
                 let target = e.rec.next_pc;
                 let taken = e.rec.taken;
-                let ras_cp = e.ras_cp;
-                let dir_lookup = e.dir_lookup;
+                let CtrlSlot {
+                    ras_cp, dir_lookup, ..
+                } = self.ctrl[idx];
                 if !spec {
                     self.stats.branch.mispredicts += 1;
                 }
-                if self.sink.enabled() {
+                if self.trace_on {
                     let ev = TraceEvent::BranchMispredict {
                         cycle: self.cycle,
                         pc,
@@ -1879,22 +1967,23 @@ impl Machine {
                 }
             }
             // Train the predictor with architected outcomes.
-            if let Some(cinfo) = &e.cinfo {
+            if e.is_ctrl {
+                let c = &self.ctrl[slot];
                 self.stats.branch.committed += 1;
-                if cinfo.is_cond {
+                if c.info.is_cond {
                     self.stats.branch.cond_committed += 1;
                 }
                 if let Some(p) = &mut self.predictor {
                     p.update(
                         e.rec.pc,
-                        cinfo,
+                        &c.info,
                         e.rec.taken,
                         e.rec.next_pc,
-                        e.dir_lookup.as_ref(),
+                        c.dir_lookup.as_ref(),
                     );
                 }
             }
-            if self.sink.enabled() || self.oracle.is_some() {
+            if self.trace_on || self.oracle.is_some() {
                 let record = CommitRecord {
                     seq: self.stats.committed,
                     pc: e.rec.pc,
@@ -1907,7 +1996,7 @@ impl Machine {
                     packed: e.in_group,
                     replayed: e.replay_attempted,
                 };
-                if self.sink.enabled() {
+                if self.trace_on {
                     self.sink.emit(&TraceEvent::Commit(record));
                 }
                 // Lockstep check: the reference emulator executes the
@@ -1934,7 +2023,8 @@ impl Machine {
             retired += 1;
             self.last_commit_cycle = self.cycle;
             if has_two_operands(e.class) {
-                self.stats.width_committed.record(e.rec.op_a, e.rec.op_b);
+                debug_assert!(e.exec_stats_counted, "committed without issuing");
+                self.stats.width_committed.record_width(e.width as u32);
             }
             if e.rec.instr.op == Opcode::Halt {
                 self.done = true;
@@ -2055,7 +2145,7 @@ struct OpenGroup {
 /// Index of `pc` in the per-text-word replay-confidence table. Only
 /// decodable text addresses are ever fetched, wrong path included.
 fn replay_slot(pc: u64) -> usize {
-    ((pc - nwo_isa::TEXT_BASE) / 4) as usize
+    ((pc - nwo_isa::TEXT_BASE) >> 2) as usize
 }
 
 /// Classes whose records carry two meaningful source-operand values
@@ -2071,49 +2161,6 @@ fn has_two_operands(class: OpClass) -> bool {
             | OpClass::Load
             | OpClass::Store
     )
-}
-
-/// Extracts the predictor-facing description of a control instruction.
-fn control_info(rec: &ExecRecord) -> ControlInfo {
-    let op = rec.instr.op;
-    ControlInfo {
-        is_cond: op.is_cond_branch(),
-        is_call: op.is_call(),
-        is_return: op.is_return(),
-        is_indirect: op.format() == Format::Jump,
-        direct_target: (op.format() == Format::Branch).then(|| rec.instr.branch_target(rec.pc)),
-        return_addr: rec.pc.wrapping_add(4),
-    }
-}
-
-/// The source registers feeding operand slots a and b, plus the extra
-/// (timing-only) dependency for store data.
-fn source_regs(instr: &nwo_isa::Instr) -> (Option<Reg>, Option<Reg>, Option<Reg>) {
-    let op = instr.op;
-    match op.format() {
-        Format::Operate => {
-            let b = match instr.b {
-                OperandB::Reg(r) => Some(r),
-                OperandB::Lit(_) => None,
-            };
-            // Conditional moves read the old destination value.
-            let extra = op.is_cmov().then_some(instr.rc);
-            (Some(instr.ra), b, extra)
-        }
-        Format::Memory => {
-            let data = op.is_store().then_some(instr.ra);
-            (Some(instr.rb()), None, data)
-        }
-        Format::Branch => match op {
-            Opcode::Br | Opcode::Bsr => (None, None, None),
-            _ => (Some(instr.ra), None, None),
-        },
-        Format::Jump => (Some(instr.rb()), None, None),
-        Format::System => match op {
-            Opcode::Outb | Opcode::Outq => (Some(instr.ra), None, None),
-            _ => (None, None, None),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -2500,6 +2547,19 @@ mod tests {
             "a squashed seq must be reused while its completion is pending"
         );
         assert_eq!(m.out_quads(), emulated(src).as_slice());
+    }
+
+    /// The ring is walked by every stage: keep a slot within three cache
+    /// lines, so the default 128-slot ring stays inside a 32 KiB L1d.
+    /// Control-only predictor state belongs in [`CtrlSlot`], not here
+    /// (see DESIGN.md, "Hot/cold slot").
+    #[test]
+    fn ring_entry_stays_cache_sized() {
+        assert!(
+            std::mem::size_of::<Entry>() <= 192,
+            "Entry grew to {} bytes",
+            std::mem::size_of::<Entry>()
+        );
     }
 
     #[test]

@@ -10,9 +10,17 @@
 
 use nwo_core::width64;
 use nwo_isa::OpClass;
-use nwo_mem::AddrMap;
 use nwo_obs::StallBreakdown;
 use nwo_power::PowerAccumulator;
+
+/// `max(width(a), width(b))`: the significant bits of an operand pair's
+/// wider operand. Figure 1 histograms it, and Figures 2 and 4 test it
+/// against 16 and 33 bits. The machine computes it once per instruction
+/// and hands the result to every collector below.
+#[inline]
+pub fn pair_width(a: u64, b: u64) -> u32 {
+    width64(a).max(width64(b))
+}
 
 /// Histogram of `max(width(a), width(b))` over operand pairs — the raw
 /// data behind Figure 1.
@@ -38,9 +46,13 @@ impl WidthHistogram {
     }
 
     /// Records one operation's operand pair.
-    #[inline]
     pub fn record(&mut self, a: u64, b: u64) {
-        let w = width64(a).max(width64(b));
+        self.record_width(pair_width(a, b));
+    }
+
+    /// Records one operation whose operand pair has [`pair_width`] `w`.
+    #[inline]
+    pub fn record_width(&mut self, w: u32) {
         self.counts[w as usize] += 1;
         self.total += 1;
     }
@@ -91,11 +103,35 @@ impl WidthHistogram {
 /// Tracks, per static instruction (PC), whether its "both operands
 /// narrow at 16 bits" property flips across dynamic executions — the
 /// quantity of Figure 2.
+///
+/// Dense, like the machine's replay-confidence table: one cell per
+/// instruction word (`pc >> 2`) over the span of PCs recorded so far.
+/// The span grows to cover any word-aligned PC, text or not; the
+/// simulator records only PCs of the program text.
 #[derive(Debug, Clone, Default)]
 pub struct FluctuationTracker {
-    /// pc -> (last observed narrowness, has fluctuated, executions).
-    map: AddrMap<(bool, bool, u64)>,
+    /// Word index (`pc >> 2`) of `cells[0]`.
+    base: u64,
+    cells: Vec<FluctCell>,
 }
+
+/// One static instruction's history; `execs == 0` marks a word never
+/// recorded.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct FluctCell {
+    execs: u64,
+    /// Narrowness at the last execution.
+    last: bool,
+    /// Narrowness changed at least once.
+    fluct: bool,
+}
+
+/// The widest span of instruction words a checkpointed
+/// [`FluctuationTracker`] may cover: 4 MiB of text, far beyond any
+/// program here. It bounds what a checkpoint can ask restore to
+/// allocate. Recording is not bounded, so a tracker grown over a wider
+/// span saves a payload that restore rejects.
+pub const FLUCTUATION_MAX_SPAN_WORDS: u64 = 1 << 20;
 
 impl FluctuationTracker {
     /// Creates an empty tracker.
@@ -104,36 +140,80 @@ impl FluctuationTracker {
     }
 
     /// Records one dynamic execution of the instruction at `pc`.
-    #[inline]
     pub fn record(&mut self, pc: u64, a: u64, b: u64) {
-        let narrow = width64(a).max(width64(b)) <= 16;
-        match self.map.entry(pc) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (last, fluct, execs) = *e.get();
-                *e.get_mut() = (narrow, fluct || last != narrow, execs + 1);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((narrow, false, 1));
-            }
+        self.record_width(pc, pair_width(a, b));
+    }
+
+    /// Records one dynamic execution of the instruction at `pc` whose
+    /// operand pair has [`pair_width`] `w`.
+    #[inline]
+    pub fn record_width(&mut self, pc: u64, w: u32) {
+        debug_assert!(pc.is_multiple_of(4), "misaligned pc {pc:#x}");
+        let narrow = w <= 16;
+        let i = self.cell(pc >> 2);
+        let c = &mut self.cells[i];
+        c.fluct |= c.execs > 0 && c.last != narrow;
+        c.last = narrow;
+        c.execs += 1;
+    }
+
+    /// The index of `word`'s cell, growing the span to cover it.
+    #[inline]
+    fn cell(&mut self, word: u64) -> usize {
+        let i = word.wrapping_sub(self.base);
+        if i < self.cells.len() as u64 {
+            return i as usize;
         }
+        self.cover(word)
+    }
+
+    /// Grows the span to include `word` (geometrically, so a run that
+    /// discovers its text piecemeal stays linear) and returns its index.
+    #[cold]
+    fn cover(&mut self, word: u64) -> usize {
+        if self.cells.is_empty() {
+            self.base = word;
+        }
+        let len = self.cells.len() as u64;
+        if word < self.base {
+            let lo = word.min(self.base.saturating_sub(len));
+            let mut cells = vec![FluctCell::default(); (self.base - lo) as usize];
+            cells.extend_from_slice(&self.cells);
+            self.cells = cells;
+            self.base = lo;
+        } else {
+            let hi = (word + 1).max(self.base + 2 * len);
+            self.cells
+                .resize((hi - self.base) as usize, FluctCell::default());
+        }
+        (word - self.base) as usize
+    }
+
+    /// The recorded instructions as `(pc, cell)`, in PC order.
+    fn recorded(&self) -> impl Iterator<Item = (u64, &FluctCell)> {
+        let base = self.base;
+        self.cells
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.execs > 0)
+            .map(move |(i, c)| ((base + i as u64) << 2, c))
     }
 
     /// Number of distinct PCs observed.
     pub fn static_instructions(&self) -> u64 {
-        self.map.len() as u64
+        self.recorded().count() as u64
     }
 
     /// Fraction of static instructions (executed at least twice) whose
     /// precision crossed the 16-bit line at least once.
     pub fn fluctuating_fraction(&self) -> f64 {
-        let eligible = self.map.values().filter(|(_, _, n)| *n >= 2).count();
+        let eligible = self.recorded().filter(|(_, c)| c.execs >= 2).count();
         if eligible == 0 {
             return 0.0;
         }
         let flipped = self
-            .map
-            .values()
-            .filter(|(_, fluct, n)| *fluct && *n >= 2)
+            .recorded()
+            .filter(|(_, c)| c.fluct && c.execs >= 2)
             .count();
         flipped as f64 / eligible as f64
     }
@@ -174,13 +254,18 @@ impl NarrowBreakdown {
     }
 
     /// Records one executed operation.
-    #[inline]
     pub fn record(&mut self, class: OpClass, a: u64, b: u64) {
+        self.record_width(class, pair_width(a, b));
+    }
+
+    /// Records one executed operation whose operand pair has
+    /// [`pair_width`] `w`.
+    #[inline]
+    pub fn record_width(&mut self, class: OpClass, w: u32) {
         self.total_instructions += 1;
         let Some(slot) = class_slot(class) else {
             return;
         };
-        let w = width64(a).max(width64(b));
         let entry = &mut self.by_class[slot];
         entry.0 += 1;
         if w <= 16 {
@@ -405,32 +490,69 @@ impl nwo_ckpt::Checkpointable for WidthHistogram {
     }
 }
 
-/// Serialized sorted by PC so identical trackers always produce
-/// byte-identical payloads (the in-memory map order depends on the
-/// insertion history, not only on the contents).
+/// Serialized as an entry count and then one `(pc, last, fluct, execs)`
+/// entry per recorded instruction, sorted by PC, so identical trackers
+/// always produce byte-identical payloads.
+///
+/// Restore trusts nothing in the payload: the count must fit the bytes
+/// left, PCs must be word-aligned and strictly ascending within
+/// [`FLUCTUATION_MAX_SPAN_WORDS`], and every entry must have executed.
+/// Anything else is a typed error, before any allocation the payload
+/// size does not already bound.
 impl nwo_ckpt::Checkpointable for FluctuationTracker {
     fn save(&self, w: &mut SectionWriter) {
-        let mut entries: Vec<_> = self.map.iter().collect();
-        entries.sort_unstable_by_key(|(pc, _)| **pc);
-        w.put_u64(entries.len() as u64);
-        for (pc, (last, fluct, execs)) in entries {
-            w.put_u64(*pc);
-            w.put_bool(*last);
-            w.put_bool(*fluct);
-            w.put_u64(*execs);
+        w.put_u64(self.static_instructions());
+        for (pc, c) in self.recorded() {
+            w.put_u64(pc);
+            w.put_bool(c.last);
+            w.put_bool(c.fluct);
+            w.put_u64(c.execs);
         }
     }
 
     fn restore(&mut self, r: &mut SectionReader) -> Result<(), CkptError> {
-        let n = r.take_len(u64::MAX, "fluctuation tracker entry count")?;
-        self.map.clear();
+        /// Encoded size of one entry: pc, two flags, executions.
+        const ENTRY_BYTES: u64 = 8 + 1 + 1 + 8;
+        let malformed = |what: String| CkptError::Malformed(format!("fluctuation tracker: {what}"));
+        let n = r.take_len(
+            r.remaining() as u64 / ENTRY_BYTES,
+            "fluctuation tracker entry count",
+        )?;
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let pc = r.take_u64("fluctuation tracker pc")?;
             let last = r.take_bool("fluctuation tracker narrowness")?;
             let fluct = r.take_bool("fluctuation tracker flip flag")?;
             let execs = r.take_u64("fluctuation tracker executions")?;
-            self.map.insert(pc, (last, fluct, execs));
+            if !pc.is_multiple_of(4) {
+                return Err(malformed(format!("misaligned pc {pc:#x}")));
+            }
+            if execs == 0 {
+                return Err(malformed(format!("pc {pc:#x} has no executions")));
+            }
+            if let Some(&(prev, _)) = entries.last() {
+                if pc <= prev {
+                    return Err(malformed(format!("pc {pc:#x} follows {prev:#x}")));
+                }
+            }
+            entries.push((pc, FluctCell { execs, last, fluct }));
         }
+        let (Some(&(first, _)), Some(&(last, _))) = (entries.first(), entries.last()) else {
+            *self = FluctuationTracker::new();
+            return Ok(());
+        };
+        let base = first >> 2;
+        let span = (last >> 2) - base + 1;
+        if span > FLUCTUATION_MAX_SPAN_WORDS {
+            return Err(malformed(format!(
+                "pcs {first:#x}..={last:#x} span {span} words, over {FLUCTUATION_MAX_SPAN_WORDS}"
+            )));
+        }
+        let mut cells = vec![FluctCell::default(); span as usize];
+        for (pc, cell) in entries {
+            cells[((pc >> 2) - base) as usize] = cell;
+        }
+        *self = FluctuationTracker { base, cells };
         Ok(())
     }
 }
@@ -646,6 +768,37 @@ mod tests {
         f.record(0x200, 1 << 30, 2);
         assert_eq!(f.static_instructions(), 2);
         assert!((f.fluctuating_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fluctuation_grows_both_ways_and_saves_in_pc_order() {
+        use nwo_ckpt::Checkpointable;
+        let mut f = FluctuationTracker::new();
+        let pcs = [0x1_0040, 0x1_0000, 0x2_0000, 0x1_0044, 0x1_0000, 0x8];
+        for (i, &pc) in pcs.iter().enumerate() {
+            f.record(pc, 1 << (20 * (i % 2)), 0);
+        }
+        assert_eq!(f.static_instructions(), 5);
+        let mut w = SectionWriter::new();
+        f.save(&mut w);
+        let mut r = SectionReader::new(w.into_bytes());
+        assert_eq!(r.take_u64("count").unwrap(), 5);
+        let mut saved = Vec::new();
+        for _ in 0..5 {
+            let pc = r.take_u64("pc").unwrap();
+            let (_, fluct) = (r.take_bool("last").unwrap(), r.take_bool("fluct").unwrap());
+            saved.push((pc, fluct, r.take_u64("execs").unwrap()));
+        }
+        assert_eq!(
+            saved,
+            [
+                (0x8, false, 1),
+                (0x1_0000, true, 2),
+                (0x1_0040, false, 1),
+                (0x1_0044, false, 1),
+                (0x2_0000, false, 1),
+            ]
+        );
     }
 
     #[test]

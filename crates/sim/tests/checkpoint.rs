@@ -5,8 +5,8 @@
 //! warm config) must be a typed rejection that leaves the machine
 //! untouched.
 
-use nwo_sim::ckpt::CkptError;
-use nwo_sim::{SimConfig, SimReport, Simulator};
+use nwo_sim::ckpt::{Checkpointable, CkptError, SectionReader, SectionWriter};
+use nwo_sim::{FluctuationTracker, SimConfig, SimReport, Simulator, FLUCTUATION_MAX_SPAN_WORDS};
 use proptest::prelude::*;
 
 /// A kernel with enough loop trips, memory traffic and branches to give
@@ -166,6 +166,83 @@ fn report_round_trips_through_its_container() {
     assert_eq!(restored.out_quads, report.out_quads);
     assert_eq!(restored.stats.committed, report.stats.committed);
     assert_eq!(restored.stall, report.stall);
+}
+
+/// A fluctuation-tracker payload: the declared entry count, then one
+/// `(pc, last, fluct, execs)` entry per `(pc, execs)` pair.
+fn fluctuation_payload(count: u64, entries: &[(u64, u64)]) -> Vec<u8> {
+    let mut w = SectionWriter::new();
+    w.put_u64(count);
+    for &(pc, execs) in entries {
+        w.put_u64(pc);
+        w.put_bool(true);
+        w.put_bool(false);
+        w.put_u64(execs);
+    }
+    w.into_bytes()
+}
+
+/// Restores `payload` into a tracker that already holds one record.
+fn restore_fluctuation(payload: Vec<u8>) -> (Result<(), CkptError>, FluctuationTracker) {
+    let mut tracker = FluctuationTracker::new();
+    tracker.record(0x1_0000, 1, 2);
+    let result = Checkpointable::restore(&mut tracker, &mut SectionReader::new(payload));
+    (result, tracker)
+}
+
+#[test]
+fn hostile_fluctuation_sections_are_typed_errors() {
+    let span_words = FLUCTUATION_MAX_SPAN_WORDS;
+    let hostile: [(&str, Vec<u8>); 8] = [
+        (
+            "count beyond the payload",
+            fluctuation_payload(u64::MAX, &[]),
+        ),
+        (
+            "count above the entries",
+            fluctuation_payload(3, &[(0x100, 1)]),
+        ),
+        (
+            "span over the bound",
+            fluctuation_payload(2, &[(0x1_0000, 1), (0x1_0000 + 4 * span_words, 1)]),
+        ),
+        (
+            "span over the address space",
+            fluctuation_payload(2, &[(0, 1), (!3, 1)]),
+        ),
+        ("misaligned pc", fluctuation_payload(1, &[(0x1_0002, 1)])),
+        (
+            "descending pcs",
+            fluctuation_payload(2, &[(0x200, 1), (0x100, 1)]),
+        ),
+        (
+            "duplicate pcs",
+            fluctuation_payload(2, &[(0x100, 1), (0x100, 2)]),
+        ),
+        ("no executions", fluctuation_payload(1, &[(0x100, 0)])),
+    ];
+    for (what, payload) in hostile {
+        let (result, tracker) = restore_fluctuation(payload);
+        match result {
+            Err(CkptError::Malformed(_)) => {}
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
+        assert_eq!(
+            tracker.static_instructions(),
+            1,
+            "{what}: a failed restore leaves the tracker as it was"
+        );
+    }
+
+    // The widest span the bound allows restores, and saves back to the
+    // same bytes.
+    let widest = fluctuation_payload(2, &[(0x1_0000, 3), (0x1_0000 + 4 * (span_words - 1), 1)]);
+    let (result, tracker) = restore_fluctuation(widest.clone());
+    result.expect("restores the widest span");
+    assert_eq!(tracker.static_instructions(), 2);
+    let mut w = SectionWriter::new();
+    Checkpointable::save(&tracker, &mut w);
+    assert_eq!(w.into_bytes(), widest);
 }
 
 #[test]

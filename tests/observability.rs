@@ -311,6 +311,64 @@ fn ring_sink_and_pipeview_handle_fewer_commits_than_capacity() {
     }
 }
 
+/// A sink that reports itself disabled yet counts every event it is
+/// handed: a [`nwo::sim::obs::NullSink`] whose stray emits are visible.
+struct MutedProbe(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+impl nwo::sim::obs::TraceSink for MutedProbe {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn emit(&mut self, _event: &nwo::sim::obs::TraceEvent) {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+/// The machine caches `TraceSink::enabled` when a sink is installed, so
+/// swapping sinks between `run` slices must switch event emission on and
+/// off: a retaining sink holds exactly the commits of its own slice, and
+/// a disabled sink is never handed an event.
+#[test]
+fn swapping_sinks_between_run_slices_switches_tracing() {
+    use nwo::sim::obs::{NullSink, RingSink, TraceSink};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let muted = Arc::new(AtomicU64::new(0));
+    let mut sim = Simulator::new(&golden_program(), SimConfig::default());
+    // (instruction budget, sink) per slice: off → on → off → on.
+    let slices: [(u64, Box<dyn TraceSink>); 4] = [
+        (50, Box::new(NullSink)),
+        (100, Box::new(RingSink::keep_first(1 << 14))),
+        (150, Box::new(MutedProbe(muted.clone()))),
+        (u64::MAX, Box::new(RingSink::keep_first(1 << 14))),
+    ];
+    let mut start = 0;
+    for (i, (budget, sink)) in slices.into_iter().enumerate() {
+        let retains = i % 2 == 1;
+        sim.set_trace_sink(sink);
+        let end = sim.run(budget).expect("runs").stats.committed;
+        assert!(end > start, "slice {i} commits");
+        let seqs: Vec<u64> = sim.trace_commits().iter().map(|r| r.seq).collect();
+        let expected: Vec<u64> = if retains {
+            (start..end).collect()
+        } else {
+            Vec::new()
+        };
+        assert_eq!(
+            seqs, expected,
+            "slice {i}: the installed sink sees its slice"
+        );
+        start = end;
+    }
+    assert_eq!(
+        muted.load(Ordering::Relaxed),
+        0,
+        "no event reaches a disabled sink"
+    );
+}
+
 /// Fixed name pool for the span-nesting property (the span API takes
 /// `&'static str`); the `pt-` prefix keeps these events distinguishable
 /// from spans recorded by other tests in this process.
