@@ -205,6 +205,40 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
+/// The checkpoint codec: the CRC over 4 MiB, and saving and restoring
+/// compress warmed up to 50 000 instructions before its halt (a blob
+/// of about 5 MB, nearly all of it the L2's untouched lines).
+fn bench_checkpoint_codec(c: &mut Criterion) {
+    let bytes: Vec<u8> = xorshift_values(1 << 19)
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let mut group = c.benchmark_group("checkpoint-codec");
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("crc32-4MiB", |b| {
+        b.iter(|| nwo_ckpt::crc32(black_box(&bytes)))
+    });
+
+    let bench = benchmark("compress", nwo_workloads::experiment_scale("compress"))
+        .expect("known benchmark");
+    let insts = Emulator::new(&bench.program).run(u64::MAX).expect("halts");
+    let config = SimConfig::default().with_packing(PackConfig::with_replay());
+    let mut warm = Simulator::new(&bench.program, config.clone());
+    warm.warmup(insts.saturating_sub(50_000)).expect("warms");
+    let blob = warm.checkpoint();
+    group.sample_size(20);
+    group.throughput(Throughput::Bytes(blob.len() as u64));
+    group.bench_function("checkpoint", |b| b.iter(|| warm.checkpoint().len()));
+    group.bench_function("restore_checkpoint", |b| {
+        b.iter_batched(
+            || Simulator::new(&bench.program, config.clone()),
+            |mut sim| sim.restore_checkpoint(black_box(&blob)).expect("restores"),
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_width_detection,
@@ -212,6 +246,7 @@ criterion_group!(
     bench_predictors,
     bench_cache,
     bench_assembler,
-    bench_end_to_end
+    bench_end_to_end,
+    bench_checkpoint_codec
 );
 criterion_main!(benches);

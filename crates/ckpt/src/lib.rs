@@ -34,8 +34,10 @@
 //!
 //! [`SimConfig::fingerprint`]: https://docs.rs/nwo-sim
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// File magic: the first four bytes of every checkpoint.
@@ -180,16 +182,61 @@ impl From<io::Error> for CkptError {
 // ----------------------------------------------------------------------
 
 /// CRC32 (IEEE) of `bytes` — the per-section integrity check.
+///
+/// Slicing-by-8: each step folds eight input bytes through eight
+/// 256-entry tables, so a multi-megabyte checkpoint is checksummed at
+/// memory speed rather than one bit at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
+}
+
+/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b`
+/// through the reflected polynomial `0xedb88320`; `CRC_TABLES[k][b]`
+/// is that value shifted through `k` further zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 // ----------------------------------------------------------------------
@@ -200,6 +247,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[derive(Debug, Default)]
 pub struct SectionWriter {
     buf: Vec<u8>,
+    /// Where this section's payload starts in `buf`: nonzero when
+    /// [`CheckpointWriter::write_section`] lends the container's own
+    /// buffer, so the payload is encoded in place and never copied.
+    start: usize,
 }
 
 impl SectionWriter {
@@ -210,17 +261,23 @@ impl SectionWriter {
 
     /// Bytes encoded so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// True when nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Consumes the writer, yielding the payload bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Makes room for at least `additional` more bytes, so an impl that
+    /// knows its encoded size grows the buffer once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Appends one byte.
@@ -258,20 +315,34 @@ impl SectionWriter {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
+
+    /// Appends `n` zero bytes in one step: the encoding of a run of
+    /// records whose every field is zero (`false`, `0`).
+    pub fn put_zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
+    }
 }
 
 /// Strictly-validated little-endian decoder over one section's payload.
 /// Every read past the end is a typed error, never a panic.
+///
+/// The payload is a [`Cow`]: a reader over a section of a parsed
+/// [`CheckpointReader`] borrows the caller's bytes, and a reader built
+/// from a `Vec<u8>` owns them. Either way nothing is copied.
 #[derive(Debug)]
-pub struct SectionReader {
-    buf: Vec<u8>,
+pub struct SectionReader<'a> {
+    buf: Cow<'a, [u8]>,
     pos: usize,
 }
 
-impl SectionReader {
-    /// Wraps `bytes` for decoding.
-    pub fn new(bytes: Vec<u8>) -> SectionReader {
-        SectionReader { buf: bytes, pos: 0 }
+impl<'a> SectionReader<'a> {
+    /// Wraps `bytes` (a borrowed slice or an owned `Vec<u8>`) for
+    /// decoding.
+    pub fn new(bytes: impl Into<Cow<'a, [u8]>>) -> SectionReader<'a> {
+        SectionReader {
+            buf: bytes.into(),
+            pos: 0,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -279,13 +350,18 @@ impl SectionReader {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&[u8], CkptError> {
+    /// Consumes `n` bytes, returning their range in the payload.
+    fn skip(&mut self, n: usize, context: &'static str) -> Result<Range<usize>, CkptError> {
         if self.remaining() < n {
             return Err(CkptError::Truncated { context });
         }
-        let slice = &self.buf[self.pos..self.pos + n];
         self.pos += n;
-        Ok(slice)
+        Ok(self.pos - n..self.pos)
+    }
+
+    fn take(&mut self, n: usize, context: &'static str) -> Result<&[u8], CkptError> {
+        let range = self.skip(n, context)?;
+        Ok(&self.buf[range])
     }
 
     /// Reads one byte.
@@ -353,6 +429,26 @@ impl SectionReader {
         Ok(len as usize)
     }
 
+    /// Consumes the next `n` bytes if all of them are zero — the
+    /// inverse of [`SectionWriter::put_zeros`]. Otherwise (a nonzero
+    /// byte, or fewer than `n` bytes left) consumes nothing and returns
+    /// false, so the caller can decode the same bytes field by field
+    /// and report exactly the error that decoding finds.
+    pub fn skip_zeros(&mut self, n: usize) -> bool {
+        let Some(bytes) = self.buf.get(self.pos..self.pos.saturating_add(n)) else {
+            return false;
+        };
+        // OR-folding fixed blocks vectorizes; an early-exit byte scan
+        // does not.
+        let mut blocks = bytes.chunks_exact(256);
+        let zero = blocks.all(|b| b.iter().fold(0, |acc, &x| acc | x) == 0)
+            && blocks.remainder().iter().all(|&x| x == 0);
+        if zero {
+            self.pos += n;
+        }
+        zero
+    }
+
     /// Asserts the payload was consumed exactly — trailing garbage in a
     /// section means the reader and writer disagree on layout.
     pub fn finish(&self, section: &str) -> Result<(), CkptError> {
@@ -382,7 +478,7 @@ pub trait Checkpointable {
     ///
     /// Any [`CkptError`] on truncation, malformed data, or a shape
     /// mismatch with the receiver.
-    fn restore(&mut self, r: &mut SectionReader) -> Result<(), CkptError>;
+    fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), CkptError>;
 }
 
 // ----------------------------------------------------------------------
@@ -391,69 +487,110 @@ pub trait Checkpointable {
 
 /// Builds a checkpoint file: named sections, each independently
 /// CRC-protected, under a versioned + salted header.
-#[derive(Debug, Default)]
+///
+/// The container is assembled in one buffer as sections are added:
+/// [`CheckpointWriter::write_section`] encodes a payload in place and
+/// patches its length and CRC afterwards, and
+/// [`CheckpointWriter::into_bytes`] hands the buffer over as it is.
+#[derive(Debug)]
 pub struct CheckpointWriter {
-    sections: Vec<(String, Vec<u8>)>,
+    buf: Vec<u8>,
+    count: u32,
+}
+
+/// Header bytes before the section count: magic, version, salt.
+const COUNT_AT: usize = 4 + 2 + 8;
+
+impl Default for CheckpointWriter {
+    fn default() -> CheckpointWriter {
+        CheckpointWriter::new()
+    }
 }
 
 impl CheckpointWriter {
     /// An empty container.
     pub fn new() -> CheckpointWriter {
-        CheckpointWriter::default()
+        let mut buf = Vec::with_capacity(COUNT_AT + 4);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&code_salt().to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        CheckpointWriter { buf, count: 0 }
+    }
+
+    /// Appends a section's framing (length and CRC left as zero) and
+    /// returns where its payload will start.
+    fn begin_section(&mut self, name: &str) -> usize {
+        self.count += 1;
+        self.buf[COUNT_AT..COUNT_AT + 4].copy_from_slice(&self.count.to_le_bytes());
+        self.buf
+            .extend_from_slice(&(name.len() as u16).to_le_bytes());
+        self.buf.extend_from_slice(name.as_bytes());
+        self.buf.extend_from_slice(&[0; 8 + 4]);
+        self.buf.len()
+    }
+
+    /// Fills in the length and CRC of the section whose payload runs
+    /// from `start` to the end of the buffer.
+    fn end_section(&mut self, start: usize) {
+        let (frame, payload) = self.buf.split_at_mut(start);
+        let frame = &mut frame[start - (8 + 4)..];
+        frame[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        frame[8..].copy_from_slice(&crc32(payload).to_le_bytes());
     }
 
     /// Adds a raw pre-encoded section.
     pub fn add_section(&mut self, name: &str, payload: Vec<u8>) {
-        self.sections.push((name.to_string(), payload));
+        let start = self.begin_section(name);
+        self.buf.extend_from_slice(&payload);
+        self.end_section(start);
     }
 
-    /// Serializes `state` into a new section called `name`.
+    /// Serializes `state` into a new section called `name`, encoding it
+    /// straight into the container.
     pub fn write_section(&mut self, name: &str, state: &dyn Checkpointable) {
-        let mut w = SectionWriter::new();
+        let start = self.begin_section(name);
+        let mut w = SectionWriter {
+            buf: std::mem::take(&mut self.buf),
+            start,
+        };
         state.save(&mut w);
-        self.add_section(name, w.into_bytes());
+        self.buf = w.buf;
+        self.end_section(start);
     }
 
-    /// Encodes the full container.
+    /// The encoded container so far (a copy; see
+    /// [`CheckpointWriter::into_bytes`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let body: usize = self
-            .sections
-            .iter()
-            .map(|(n, p)| 2 + n.len() + 8 + 4 + p.len())
-            .sum();
-        let mut out = Vec::with_capacity(4 + 2 + 8 + 4 + body);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&code_salt().to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (name, payload) in &self.sections {
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-            out.extend_from_slice(payload);
-        }
-        out
+        self.buf.clone()
+    }
+
+    /// Consumes the writer, yielding the encoded container.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
     }
 }
 
-/// One parsed section: name plus verified payload.
-#[derive(Debug, Clone)]
-struct Section {
-    name: String,
-    payload: Vec<u8>,
+/// One parsed section: name, payload and whether the payload matches
+/// its stored CRC, all borrowed from the container bytes.
+#[derive(Debug)]
+struct Section<'a> {
+    name: &'a str,
+    payload: &'a [u8],
+    crc_ok: bool,
 }
 
 /// Parses and fully verifies a checkpoint container: magic, version,
 /// salt and every section CRC are checked before any payload is handed
-/// out.
+/// out. The reader borrows the container bytes; its sections and their
+/// [`SectionReader`]s are views into them.
 #[derive(Debug)]
-pub struct CheckpointReader {
+pub struct CheckpointReader<'a> {
     salt: u64,
-    sections: Vec<Section>,
+    sections: Vec<Section<'a>>,
 }
 
-impl CheckpointReader {
+impl<'a> CheckpointReader<'a> {
     /// Parses `bytes`, verifying the header against this build and every
     /// section against its CRC.
     ///
@@ -462,7 +599,7 @@ impl CheckpointReader {
     /// [`CkptError::BadMagic`], [`CkptError::ForeignVersion`],
     /// [`CkptError::StaleSalt`], [`CkptError::Truncated`] or
     /// [`CkptError::CrcMismatch`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<CheckpointReader, CkptError> {
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<CheckpointReader<'a>, CkptError> {
         let reader = Self::parse(bytes, true)?;
         if reader.salt != code_salt() {
             return Err(CkptError::StaleSalt {
@@ -475,8 +612,8 @@ impl CheckpointReader {
 
     /// Parses the container structure. `verify_crc` controls whether a
     /// CRC mismatch is fatal (restore) or merely reported (inspection).
-    fn parse(bytes: &[u8], verify_crc: bool) -> Result<CheckpointReader, CkptError> {
-        let mut r = SectionReader::new(bytes.to_vec());
+    fn parse(bytes: &'a [u8], verify_crc: bool) -> Result<CheckpointReader<'a>, CkptError> {
+        let mut r = SectionReader::new(bytes);
         let magic = r.take(4, "magic")?;
         if magic != MAGIC {
             return Err(CkptError::BadMagic);
@@ -493,8 +630,7 @@ impl CheckpointReader {
         let mut sections = Vec::with_capacity(count.min(1024) as usize);
         for _ in 0..count {
             let name_len = r.take_u16("section name length")? as usize;
-            let name_bytes = r.take(name_len, "section name")?.to_vec();
-            let name = String::from_utf8(name_bytes)
+            let name = std::str::from_utf8(&bytes[r.skip(name_len, "section name")?])
                 .map_err(|_| CkptError::Malformed("section name is not UTF-8".into()))?;
             let payload_len = r.take_u64("section length")?;
             let stored_crc = r.take_u32("section crc")?;
@@ -503,11 +639,18 @@ impl CheckpointReader {
                     context: "section payload",
                 });
             }
-            let payload = r.take(payload_len as usize, "section payload")?.to_vec();
-            if verify_crc && crc32(&payload) != stored_crc {
-                return Err(CkptError::CrcMismatch { section: name });
+            let payload = &bytes[r.skip(payload_len as usize, "section payload")?];
+            let crc_ok = crc32(payload) == stored_crc;
+            if verify_crc && !crc_ok {
+                return Err(CkptError::CrcMismatch {
+                    section: name.to_string(),
+                });
             }
-            sections.push(Section { name, payload });
+            sections.push(Section {
+                name,
+                payload,
+                crc_ok,
+            });
         }
         r.finish("container")?;
         Ok(CheckpointReader { salt, sections })
@@ -519,8 +662,8 @@ impl CheckpointReader {
     }
 
     /// Names of the sections present, in file order.
-    pub fn section_names(&self) -> Vec<&str> {
-        self.sections.iter().map(|s| s.name.as_str()).collect()
+    pub fn section_names(&self) -> Vec<&'a str> {
+        self.sections.iter().map(|s| s.name).collect()
     }
 
     /// Opens the named section for decoding.
@@ -528,11 +671,11 @@ impl CheckpointReader {
     /// # Errors
     ///
     /// [`CkptError::MissingSection`] when absent.
-    pub fn section(&self, name: &str) -> Result<SectionReader, CkptError> {
+    pub fn section(&self, name: &str) -> Result<SectionReader<'a>, CkptError> {
         self.sections
             .iter()
             .find(|s| s.name == name)
-            .map(|s| SectionReader::new(s.payload.clone()))
+            .map(|s| SectionReader::new(s.payload))
             .ok_or_else(|| CkptError::MissingSection(name.to_string()))
     }
 
@@ -594,40 +737,19 @@ pub struct CkptInfo {
 /// [`CkptError::Truncated`].
 pub fn inspect(bytes: &[u8]) -> Result<CkptInfo, CkptError> {
     let parsed = CheckpointReader::parse(bytes, false)?;
-    let sections = parsed
-        .sections
-        .iter()
-        .map(|s| {
-            // Re-derive the stored CRC from the raw bytes: parse() kept
-            // payloads, so recompute against the file copy.
-            SectionInfo {
-                name: s.name.clone(),
-                len: s.payload.len() as u64,
-                crc_ok: true, // patched below from the raw scan
-            }
-        })
-        .collect::<Vec<_>>();
-    // Second pass over the raw container to recover each stored CRC
-    // (parse() drops it); cheap relative to restore.
-    let mut infos = sections;
-    let mut r = SectionReader::new(bytes.to_vec());
-    let _ = r.take(4 + 2 + 8, "header")?;
-    let count = r.take_u32("section count")?;
-    for i in 0..count as usize {
-        let name_len = r.take_u16("section name length")? as usize;
-        let _ = r.take(name_len, "section name")?;
-        let payload_len = r.take_u64("section length")?;
-        let stored_crc = r.take_u32("section crc")?;
-        let payload = r.take(payload_len as usize, "section payload")?;
-        if let Some(info) = infos.get_mut(i) {
-            info.crc_ok = crc32(payload) == stored_crc;
-        }
-    }
     Ok(CkptInfo {
         version: FORMAT_VERSION,
         salt: parsed.salt,
         salt_current: parsed.salt == code_salt(),
-        sections: infos,
+        sections: parsed
+            .sections
+            .iter()
+            .map(|s| SectionInfo {
+                name: s.name.to_string(),
+                len: s.payload.len() as u64,
+                crc_ok: s.crc_ok,
+            })
+            .collect(),
     })
 }
 
@@ -1185,6 +1307,95 @@ mod tests {
         // IEEE CRC32 of "123456789" is 0xcbf43926.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-at-a-time CRC32 the table-driven one must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        /// Slicing-by-8 equals the bitwise CRC on any length, whichever
+        /// address the bytes start at (the 8-byte steps are unaligned
+        /// reads, the tail is byte at a time).
+        #[test]
+        fn table_crc32_matches_bitwise_reference(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..=300)
+        ) {
+            let expected = crc32_bitwise(&bytes);
+            for offset in 0..8 {
+                let mut buf = vec![0xa5; offset];
+                buf.extend_from_slice(&bytes);
+                proptest::prop_assert_eq!(crc32(&buf[offset..]), expected, "offset {}", offset);
+            }
+        }
+    }
+
+    #[test]
+    fn sections_are_encoded_in_place_with_the_same_bytes() {
+        // write_section encodes into the container buffer; add_section
+        // copies a finished payload. Both give the same container.
+        let toy = Toy {
+            a: 1,
+            b: 2.0,
+            c: false,
+            d: vec![9; 40],
+        };
+        let mut payload = SectionWriter::new();
+        toy.save(&mut payload);
+        let mut copied = CheckpointWriter::new();
+        copied.add_section("toy", payload.into_bytes());
+        copied.add_section("empty", Vec::new());
+        let mut in_place = CheckpointWriter::new();
+        in_place.write_section("toy", &toy);
+        in_place.write_section("empty", &SectionWriterless);
+        assert_eq!(in_place.to_bytes(), copied.to_bytes());
+        assert_eq!(in_place.into_bytes(), copied.into_bytes());
+        assert_eq!(
+            CheckpointWriter::new().into_bytes().len(),
+            4 + 2 + 8 + 4,
+            "an empty container is a bare header"
+        );
+    }
+
+    #[test]
+    fn zero_runs_are_skipped_only_when_whole_and_zero() {
+        let mut w = SectionWriter::new();
+        w.put_u8(7);
+        w.put_zeros(600);
+        w.put_u8(1);
+        assert_eq!(w.len(), 602);
+        let bytes = w.into_bytes();
+        let mut r = SectionReader::new(&bytes[..]);
+        assert!(!r.skip_zeros(600), "a nonzero first byte");
+        assert_eq!(r.take_u8("lead").unwrap(), 7);
+        assert!(!r.skip_zeros(601), "a nonzero last byte");
+        assert!(!r.skip_zeros(700), "fewer bytes than the run");
+        assert!(!r.skip_zeros(usize::MAX), "a length past the address space");
+        assert_eq!(r.remaining(), 601, "failed skips consume nothing");
+        assert!(r.skip_zeros(600));
+        assert!(r.skip_zeros(0));
+        assert_eq!(r.take_u8("tail").unwrap(), 1);
+        r.finish("zeros").unwrap();
+    }
+
+    #[test]
+    fn readers_borrow_the_container() {
+        let bytes = sample();
+        let reader = CheckpointReader::from_bytes(&bytes).unwrap();
+        let section = reader.section("toy").unwrap();
+        assert!(matches!(section.buf, Cow::Borrowed(_)));
+        let range = bytes.as_ptr_range();
+        assert!(range.contains(&section.buf.as_ptr()));
+        assert_eq!(reader.section_names(), ["toy", "empty"]);
     }
 
     #[test]

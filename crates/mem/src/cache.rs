@@ -263,23 +263,32 @@ fn touch(chunk: &mut Option<Box<[Line]>>, len: usize) -> &mut [Line] {
     chunk.get_or_insert_with(|| vec![Line::default(); len].into_boxed_slice())
 }
 
-/// Lines are written set-major, way-minor — the storage order —
-/// untouched chunks as invalid lines.
+/// Lines are written set-major, way-minor — the storage order — as
+/// `valid`, `dirty`, `tag`, `lru`: [`LINE_BYTES`] per line. An invalid
+/// `Line::default()` encodes as all zeros, so an untouched chunk is one
+/// run of zero bytes, written in one step. On restore, a run of zeros
+/// for a chunk the receiver has not allocated is skipped in one step
+/// and the chunk stays unallocated; any other bytes decode line by line.
 impl nwo_ckpt::Checkpointable for Cache {
     fn save(&self, w: &mut nwo_ckpt::SectionWriter) {
+        w.reserve(6 * 8 + (self.chunks.len() << self.chunk_shift) * LINE_BYTES);
         w.put_u64(self.config.num_sets());
         w.put_u64(self.config.assoc as u64);
         w.put_u64(self.tick);
         w.put_u64(self.stats.hits);
         w.put_u64(self.stats.misses);
         w.put_u64(self.stats.writebacks);
-        let untouched = vec![Line::default(); 1 << self.chunk_shift];
         for chunk in &self.chunks {
-            for line in chunk.as_deref().unwrap_or(&untouched) {
-                w.put_bool(line.valid);
-                w.put_bool(line.dirty);
-                w.put_u64(line.tag);
-                w.put_u64(line.lru);
+            match chunk {
+                None => w.put_zeros(LINE_BYTES << self.chunk_shift),
+                Some(lines) => {
+                    for line in lines.iter() {
+                        w.put_bool(line.valid);
+                        w.put_bool(line.dirty);
+                        w.put_u64(line.tag);
+                        w.put_u64(line.lru);
+                    }
+                }
             }
         }
     }
@@ -306,6 +315,9 @@ impl nwo_ckpt::Checkpointable for Cache {
         self.stats.misses = r.take_u64("cache misses")?;
         self.stats.writebacks = r.take_u64("cache writebacks")?;
         for c in 0..self.chunks.len() {
+            if self.chunks[c].is_none() && r.skip_zeros(LINE_BYTES << self.chunk_shift) {
+                continue;
+            }
             for i in 0..1 << self.chunk_shift {
                 let line = Line {
                     valid: r.take_bool("cache line valid")?,
@@ -322,6 +334,9 @@ impl nwo_ckpt::Checkpointable for Cache {
         Ok(())
     }
 }
+
+/// Encoded size of one line: two bool bytes and two `u64`s.
+const LINE_BYTES: usize = 1 + 1 + 8 + 8;
 
 #[cfg(test)]
 mod tests {
@@ -455,6 +470,112 @@ mod tests {
         // allocated and invalidated.
         l2.reset();
         assert_eq!(save(&l2), save(&Cache::new(CacheConfig::l2_table1())));
+    }
+
+    /// A 256 KB cache: four chunks of 4096 lines, small enough to craft
+    /// payloads for by hand.
+    fn four_chunks() -> Cache {
+        let c = Cache::new(CacheConfig {
+            size_bytes: 256 << 10,
+            assoc: 2,
+            block_bytes: 16,
+            hit_latency: 1,
+        });
+        assert_eq!(c.chunks.len(), 4);
+        c
+    }
+
+    fn saved(c: &Cache) -> Vec<u8> {
+        use nwo_ckpt::Checkpointable;
+        let mut w = nwo_ckpt::SectionWriter::new();
+        c.save(&mut w);
+        w.into_bytes()
+    }
+
+    fn restored(c: &mut Cache, bytes: &[u8]) -> Result<(), nwo_ckpt::CkptError> {
+        use nwo_ckpt::Checkpointable;
+        let mut r = nwo_ckpt::SectionReader::new(bytes);
+        c.restore(&mut r)?;
+        r.finish("cache")
+    }
+
+    /// Offset of line `i` of chunk `c` in a saved payload.
+    fn line_at(c: usize, i: usize) -> usize {
+        6 * 8 + (c * 4096 + i) * LINE_BYTES
+    }
+
+    #[test]
+    fn untouched_chunks_save_as_zero_runs() {
+        let bytes = saved(&four_chunks());
+        assert_eq!(bytes.len(), line_at(4, 0));
+        assert!(bytes[line_at(0, 0)..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn bad_bool_in_an_otherwise_zero_chunk_is_malformed() {
+        for field in [0, 1] {
+            let mut bytes = saved(&four_chunks());
+            bytes[line_at(2, 77) + field] = 2;
+            let err = restored(&mut four_chunks(), &bytes).unwrap_err();
+            assert!(
+                matches!(&err, nwo_ckpt::CkptError::Malformed(m) if m.contains("bool byte 0x2")),
+                "field {field}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn nonzero_line_in_an_untouched_chunk_allocates_it() {
+        let mut bytes = saved(&four_chunks());
+        // Line 3 (set 1, way 1) of chunk 2: valid, dirty, tag 0x55,
+        // lru 9.
+        let at = line_at(2, 3);
+        bytes[at] = 1;
+        bytes[at + 1] = 1;
+        bytes[at + 2] = 0x55;
+        bytes[at + 10] = 9;
+        let mut c = four_chunks();
+        restored(&mut c, &bytes).unwrap();
+        let allocated: Vec<bool> = c.chunks.iter().map(Option::is_some).collect();
+        assert_eq!(allocated, [false, false, true, false]);
+        let line = c.chunks[2].as_ref().unwrap()[3];
+        assert_eq!(
+            line,
+            Line {
+                valid: true,
+                dirty: true,
+                tag: 0x55,
+                lru: 9
+            }
+        );
+        // Set 2 * 2048 + 1 holds tag 0x55: block (0x55 << 13) | set.
+        assert!(c.probe((((0x55 << 13) | (2 * 2048 + 1)) << 4) as u64));
+        assert_eq!(saved(&c), bytes);
+    }
+
+    #[test]
+    fn zero_run_cut_short_is_truncated() {
+        let bytes = saved(&four_chunks());
+        for cut in [line_at(1, 0) + 5, line_at(3, 4095) + 17, line_at(4, 0) - 1] {
+            let err = restored(&mut four_chunks(), &bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(err, nwo_ckpt::CkptError::Truncated { context } if context.starts_with("cache line")),
+                "cut {cut}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_chunk_restored_into_an_allocated_one_invalidates_it() {
+        let fresh = saved(&four_chunks());
+        let mut c = four_chunks();
+        c.access(0x40, true);
+        c.access(0x40 + (3 << 15), false);
+        assert!(c.chunks[0].is_some() && c.chunks[3].is_some());
+        restored(&mut c, &fresh).unwrap();
+        assert!(!c.probe(0x40) && !c.probe(0x40 + (3 << 15)));
+        assert!(c.chunks[0].is_some(), "restore keeps an allocated chunk");
+        assert_eq!(saved(&c), fresh);
     }
 
     #[test]

@@ -846,7 +846,7 @@ impl Machine {
             out.put_u64(q);
         }
         cw.add_section("output", out.into_bytes());
-        cw.to_bytes()
+        cw.into_bytes()
     }
 
     /// Restores warmed state saved by [`Machine::checkpoint`],

@@ -48,7 +48,7 @@ impl SimReport {
     pub fn to_ckpt_bytes(&self) -> Vec<u8> {
         let mut w = nwo_ckpt::CheckpointWriter::new();
         w.write_section("report", self);
-        w.to_bytes()
+        w.into_bytes()
     }
 
     /// Inverse of [`SimReport::to_ckpt_bytes`]. Verifies magic, format

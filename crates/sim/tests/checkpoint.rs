@@ -168,6 +168,38 @@ fn report_round_trips_through_its_container() {
     assert_eq!(restored.stall, report.stall);
 }
 
+/// The bytes of a warm checkpoint are pinned, so a change to the codec
+/// that shifts even one byte fails here. The set-up is the one the
+/// functional-warm benchmark times: a kernel at its experiment scale on
+/// the packing-and-replay machine, warmed up to 50 000 instructions
+/// before its halt. Blobs already stored under a cache directory stay
+/// valid only while these values hold.
+#[test]
+fn warm_checkpoint_bytes_are_pinned() {
+    let pinned: [(&str, usize, u64); 2] = [
+        ("compress", 4_956_725, 0x64c3_880a_e31f_7238),
+        ("mpeg2-enc", 4_874_325, 0x8dda_9880_700e_cdd0),
+    ];
+    for (name, len, fnv) in pinned {
+        let bench = nwo_workloads::benchmark(name, nwo_workloads::experiment_scale(name))
+            .expect("known kernel");
+        let insts = nwo_isa::Emulator::new(&bench.program)
+            .run(1 << 34)
+            .expect("emulates to halt");
+        let config = SimConfig::default().with_packing(nwo_core::PackConfig::with_replay());
+        let mut sim = Simulator::new(&bench.program, config);
+        sim.warmup(insts - 50_000).expect("warms");
+        let bytes = sim.checkpoint();
+        let got = (bytes.len(), nwo_sim::ckpt::fnv1a(&bytes));
+        assert_eq!(
+            got,
+            (len, fnv),
+            "{name}: checkpoint length and fnv1a (got fnv {:016x})",
+            got.1
+        );
+    }
+}
+
 /// A fluctuation-tracker payload: the declared entry count, then one
 /// `(pc, last, fluct, execs)` entry per `(pc, execs)` pair.
 fn fluctuation_payload(count: u64, entries: &[(u64, u64)]) -> Vec<u8> {
