@@ -217,3 +217,29 @@ fn corrupted_checkpoint_blob_is_rejected() {
         );
     }
 }
+
+/// Every instruction is checked, warmed or timed: the oracle's count
+/// equals the warmed instructions plus the detailed commits.
+#[test]
+fn oracle_checks_every_warmed_and_committed_instruction() {
+    const WARM: u64 = 5_000;
+    for bench in full_suite(0)
+        .into_iter()
+        .filter(|b| matches!(b.name, "compress" | "mpeg2-enc"))
+    {
+        let mut sim = Simulator::new(&bench.program, SimConfig::default().with_verify());
+        let warmed = sim.warmup(WARM).expect("warms oracle-clean");
+        assert_eq!(warmed, WARM, "{}: warmup stops short of halt", bench.name);
+        assert_eq!(sim.oracle_checked(), Some(WARM), "{}", bench.name);
+        let report = sim
+            .run(u64::MAX)
+            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+        assert_eq!(report.out_quads, bench.expected, "{}", bench.name);
+        assert_eq!(
+            sim.oracle_checked(),
+            Some(WARM + report.stats.committed),
+            "{}: every tail commit checked",
+            bench.name
+        );
+    }
+}
