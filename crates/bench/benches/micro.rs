@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks: component-level throughput of the
-//! simulator's building blocks, plus end-to-end simulation speed.
+//! simulator's building blocks, the functional engines, the checkpoint
+//! codec, plus end-to-end simulation speed.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use nwo_bpred::{ControlInfo, DirKind, DirPredictor, Predictor, PredictorConfig};
@@ -205,6 +206,37 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
+/// The functional engines on compress, per instruction: the bare
+/// emulator, the simulator's warmup (caches and predictor, no timing),
+/// and that warmup under the lockstep oracle. Scale 4 (2.1M
+/// instructions) fits several verified warmups into the sample budget.
+fn bench_functional_engines(c: &mut Criterion) {
+    let bench = benchmark("compress", 4).expect("known benchmark");
+    let insts = Emulator::new(&bench.program).run(u64::MAX).expect("halts");
+    let mut group = c.benchmark_group("functional-engines");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(insts));
+    group.bench_function("emulator", |b| {
+        b.iter(|| {
+            let mut emu = Emulator::new(&bench.program);
+            emu.run(u64::MAX).expect("halts")
+        })
+    });
+    for (name, config) in [
+        ("warmup", SimConfig::default()),
+        ("warmup+verify", SimConfig::default().with_verify()),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || Simulator::new(&bench.program, config.clone()),
+                |mut sim| sim.warmup(insts).expect("warms"),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 /// The checkpoint codec: the CRC over 4 MiB, and saving and restoring
 /// compress warmed up to 50 000 instructions before its halt (a blob
 /// of about 5 MB, nearly all of it the L2's untouched lines).
@@ -217,6 +249,16 @@ fn bench_checkpoint_codec(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(bytes.len() as u64));
     group.bench_function("crc32-4MiB", |b| {
         b.iter(|| nwo_ckpt::crc32(black_box(&bytes)))
+    });
+    // Shaped like a hierarchy section: one 4 KiB block in 33 holds
+    // data, the rest are untouched all-zero chunks (97% zero runs).
+    let sparse: Vec<u8> = bytes
+        .chunks(4096)
+        .enumerate()
+        .flat_map(|(i, block)| block.iter().map(move |&b| if i % 33 == 0 { b } else { 0 }))
+        .collect();
+    group.bench_function("crc32-4MiB-sparse", |b| {
+        b.iter(|| nwo_ckpt::crc32(black_box(&sparse)))
     });
 
     let bench = benchmark("compress", nwo_workloads::experiment_scale("compress"))
@@ -247,6 +289,7 @@ criterion_group!(
     bench_cache,
     bench_assembler,
     bench_end_to_end,
+    bench_functional_engines,
     bench_checkpoint_codec
 );
 criterion_main!(benches);

@@ -15,7 +15,7 @@ use std::path::Path;
 /// Everything known about one committed instruction's trip through the
 /// pipeline. Cycle fields satisfy
 /// `fetched_at <= dispatched_at <= issued_at <= completed_at <= committed_at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitRecord {
     /// Commit sequence number (0-based).
     pub seq: u64,

@@ -28,6 +28,8 @@ use nwo_mem::{AddrMap, MainMemory};
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StaticInst {
     pub(crate) instr: Instr,
+    /// `instr.encode()`: the word trace and oracle records carry.
+    pub(crate) raw: u32,
     pub(crate) class: OpClass,
     /// The source registers feeding operand slots a and b, plus the
     /// timing-only third source (store data, or the old destination of
@@ -74,6 +76,7 @@ impl StaticInst {
         });
         StaticInst {
             instr,
+            raw: instr.encode(),
             class: op.class(),
             srcs: [a, b, extra].map(|r| r.filter(|r| !r.is_zero())),
             ctrl,

@@ -1061,14 +1061,8 @@ impl Machine {
                 let record = CommitRecord {
                     seq,
                     pc: rec.pc,
-                    raw: rec.instr.encode(),
-                    fetched_at: 0,
-                    dispatched_at: 0,
-                    issued_at: 0,
-                    completed_at: 0,
-                    committed_at: 0,
-                    packed: false,
-                    replayed: false,
+                    raw: si.raw,
+                    ..CommitRecord::default()
                 };
                 let t0 = nwo_obs::span::enabled().then(std::time::Instant::now);
                 let checked = oracle.check_commit(0, &rec, record);
@@ -1273,7 +1267,7 @@ impl Machine {
                 let ev = TraceEvent::Fetch {
                     cycle: self.cycle,
                     pc: rec.pc,
-                    raw: rec.instr.encode(),
+                    raw: self.frontend.static_at(rec.pc).raw,
                     spec: was_spec,
                 };
                 self.sink.emit(&ev);
@@ -1987,7 +1981,7 @@ impl Machine {
                 let record = CommitRecord {
                     seq: self.stats.committed,
                     pc: e.rec.pc,
-                    raw: e.rec.instr.encode(),
+                    raw: self.frontend.static_at(e.rec.pc).raw,
                     fetched_at: e.fetched_at,
                     dispatched_at: e.dispatched_at,
                     issued_at: e.issued_at,
